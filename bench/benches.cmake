@@ -34,9 +34,6 @@ mpib_add_bench(ext_multimethod)
 mpib_add_bench(nas_profile)
 mpib_add_bench(nas_fault)
 
-mpib_add_bench(gb_components)
-target_link_libraries(gb_components PRIVATE benchmark::benchmark mpib_rdmach)
-
 # Bench smokes under the `perf` ctest label: the key perf benches run
 # end-to-end with reduced sweeps (--smoke), so a bandwidth or latency
 # regression surfaces from `ctest -L perf` without the full figure runs.

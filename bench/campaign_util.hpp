@@ -109,31 +109,7 @@ inline CampaignOutcome run_nas_campaign(
   out.completed = true;
   for (const int d : done) out.completed = out.completed && d != 0;
   out.wedged = !out.completed;
-  for (const rdmach::ChannelStats& t : stats) {
-    const rdmach::ProtoStats* from[] = {&t.eager, &t.rndv_write,
-                                        &t.rndv_read};
-    rdmach::ProtoStats* to[] = {&out.stats.eager, &out.stats.rndv_write,
-                                &out.stats.rndv_read};
-    for (int i = 0; i < 3; ++i) {
-      to[i]->ops += from[i]->ops;
-      to[i]->bytes += from[i]->bytes;
-      to[i]->retries += from[i]->retries;
-    }
-    out.stats.recoveries += t.recoveries;
-    out.stats.crc_failures += t.crc_failures;
-    out.stats.retransmits += t.retransmits;
-    out.stats.reg_fallbacks += t.reg_fallbacks;
-    out.stats.cq_overruns += t.cq_overruns;
-    out.stats.credit_stalls += t.credit_stalls;
-    out.stats.watchdog_trips += t.watchdog_trips;
-    out.stats.replayed_bytes += t.replayed_bytes;
-    out.stats.rail_failovers += t.rail_failovers;
-    out.stats.rail_quarantines += t.rail_quarantines;
-    out.stats.rail_reinstates += t.rail_reinstates;
-    out.stats.suspicion_trips += t.suspicion_trips;
-    out.stats.false_suspicions += t.false_suspicions;
-    out.stats.degraded_ns += t.degraded_ns;
-  }
+  for (const rdmach::ChannelStats& t : stats) out.stats += t;
   if (campaign != nullptr) {
     out.faults_armed = campaign->armed();
     out.faults_delivered = campaign->schedule().killed();

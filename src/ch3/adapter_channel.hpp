@@ -60,7 +60,6 @@ class AdapterChannel : public Ch3Channel, private PacketHandler {
 
   rdmach::ChannelStats channel_stats() const override { return ch_->stats(); }
   void reset_channel_stats() override { ch_->reset_stats(); }
-  void note_rma(rdmach::RmaOp op) override { ch_->note_rma(op); }
 
   rdmach::Channel& channel() noexcept { return *ch_; }
 

@@ -117,12 +117,6 @@ class Ch3Channel {
   /// so a harness can measure one workload phase exactly, bootstrap
   /// traffic excluded.  No-op when the implementation keeps none.
   virtual void reset_channel_stats() {}
-
-  /// One-sided RMA accounting hook (mpi::Window): the window's traffic
-  /// rides a dedicated QP mesh, so the op counts are noted into the
-  /// transport's stats rather than observed by its data path.  No-op when
-  /// the implementation keeps no stats.
-  virtual void note_rma(rdmach::RmaOp) {}
 };
 
 /// Which CH3 implementation an MPI job runs on.

@@ -147,8 +147,8 @@ sim::Task<bool> IbDirectChannel::progress_once() {
                           static_cast<std::ptrdiff_t>(i));
     co_await cache_->release(sr.mr);
     sr.req->done = true;
-    ++rndv_write_ops_;
-    rndv_write_bytes_ += sr.len;
+    ++rndv_stats_.rndv_write.ops;
+    rndv_stats_.rndv_write.bytes += sr.len;
     moved = true;
   }
 

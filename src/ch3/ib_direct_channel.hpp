@@ -48,16 +48,13 @@ class IbDirectChannel : public Ch3Channel, private PacketHandler {
   /// write-rendezvous volume this class drives itself.
   rdmach::ChannelStats channel_stats() const override {
     rdmach::ChannelStats s = verbs_->stats();
-    s.rndv_write.ops += rndv_write_ops_;
-    s.rndv_write.bytes += rndv_write_bytes_;
+    s += rndv_stats_;
     return s;
   }
   void reset_channel_stats() override {
     verbs_->reset_stats();
-    rndv_write_ops_ = 0;
-    rndv_write_bytes_ = 0;
+    rndv_stats_ = rdmach::ChannelStats{};
   }
-  void note_rma(rdmach::RmaOp op) override { verbs_->note_rma(op); }
 
  private:
   /// Exposes the protected verbs plumbing of the slot-ring channel that
@@ -116,8 +113,8 @@ class IbDirectChannel : public Ch3Channel, private PacketHandler {
   std::vector<RecvReady> recv_ready_todo_;
   std::vector<PendingWrite> pending_writes_;
   std::vector<std::uint64_t> fin_done_;
-  std::uint64_t rndv_write_ops_ = 0;
-  std::uint64_t rndv_write_bytes_ = 0;
+  /// The CH3-level write-rendezvous traffic (rndv_write ops/bytes only).
+  rdmach::ChannelStats rndv_stats_;
 };
 
 }  // namespace ch3

@@ -226,7 +226,6 @@ sim::Task<void> Window::put(const void* origin, int count, Datatype d,
   const std::size_t len = static_cast<std::size_t>(count) * datatype_size(d);
   check_range(target, disp, len);
   ++stats_.puts;
-  note_rma(rdmach::RmaOp::kPut);
   if (target == comm_->rank()) {
     co_await comm_->engine().ctx().node->copy(base_ + disp, origin, len);
     co_return;
@@ -271,7 +270,6 @@ sim::Task<void> Window::get(void* origin, int count, Datatype d, int target,
   const std::size_t len = static_cast<std::size_t>(count) * datatype_size(d);
   check_range(target, disp, len);
   ++stats_.gets;
-  note_rma(rdmach::RmaOp::kGet);
   if (target == comm_->rank()) {
     co_await comm_->engine().ctx().node->copy(origin, base_ + disp, len);
     co_return;
@@ -353,7 +351,6 @@ sim::Task<void> Window::accumulate(const void* origin, int count, Datatype d,
   const std::size_t len = static_cast<std::size_t>(count) * datatype_size(d);
   check_range(target, disp, len);
   ++stats_.atomics;
-  note_rma(rdmach::RmaOp::kAtomic);
   if (target == comm_->rank()) {
     // Participate in the same lock protocol as remote origins.  A remote
     // RMW holds our lock word across its read/modify/write; this local
@@ -490,7 +487,6 @@ sim::Task<std::int64_t> Window::fetch_add(int target, std::size_t disp,
                                           std::int64_t value) {
   check_range(target, disp, 8);
   ++stats_.atomics;
-  note_rma(rdmach::RmaOp::kAtomic);
   if (target == comm_->rank()) {
     auto* p = reinterpret_cast<std::int64_t*>(base_ + disp);
     const std::int64_t old = *p;
@@ -734,7 +730,6 @@ void Window::throw_dead(int target, const char* stage) {
 
 sim::Task<void> Window::flush(int target) {
   ++stats_.flushes;
-  note_rma(rdmach::RmaOp::kFlush);
   if (target == comm_->rank()) co_return;  // self ops complete synchronously
   ft_entry(target);
   co_await drain_target(target);
@@ -743,7 +738,6 @@ sim::Task<void> Window::flush(int target) {
 
 sim::Task<void> Window::flush_all() {
   ++stats_.flushes;
-  note_rma(rdmach::RmaOp::kFlush);
   for (int r = 0; r < static_cast<int>(peers_.size()); ++r) {
     if (peers_[static_cast<std::size_t>(r)].outstanding > 0) ft_entry(r);
   }
@@ -784,10 +778,6 @@ void Window::ft_entry(int target) {
         wr, "one-sided operation toward dead rank (world " +
                 std::to_string(wr) + ")");
   }
-}
-
-void Window::note_rma(rdmach::RmaOp op) {
-  comm_->engine().channel().note_rma(op);
 }
 
 }  // namespace mpi

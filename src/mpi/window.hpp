@@ -250,7 +250,6 @@ class Window {
   /// armed and the target has a published obituary.  Pure KVS lookup, so
   /// fault-free traces are unchanged.
   void ft_entry(int target);
-  void note_rma(rdmach::RmaOp op);
 
   void check_range(int target, std::size_t disp, std::size_t len) const;
 

@@ -636,7 +636,7 @@ sim::Task<std::size_t> AdaptiveChannel::engine(AdaptiveConnection& c,
       // pipelined copy path, and teach the selector the penalty -- an
       // uncached bus-speed pass over the buffer -- so it stops preferring
       // a protocol the HCA cannot currently serve.
-      ++reg_fallbacks_;
+      ++stats_.reg_fallbacks;
       const ib::FabricConfig& f = ctx_->fabric().cfg();
       sel_.record(proto, big.len, big.len,
                   static_cast<double>(big.len) /
@@ -820,7 +820,7 @@ sim::Task<void> AdaptiveChannel::progress_inbound(AdaptiveConnection& c,
         if (refused) {
           // Transient pin-down exhaustion: stop issuing and retry on a
           // later pass (the wakeup keeps pollers from parking).
-          ++reg_fallbacks_;
+          ++stats_.reg_fallbacks;
           schedule_retry_wakeup();
           break;
         }
@@ -845,7 +845,7 @@ sim::Task<void> AdaptiveChannel::progress_inbound(AdaptiveConnection& c,
           refused = true;  // co_await is illegal in a handler; flag and go
         }
         if (refused) {
-          ++reg_fallbacks_;
+          ++stats_.reg_fallbacks;
           schedule_retry_wakeup();
         } else {
           AdaptiveCts cts{r.token, reinterpret_cast<std::uint64_t>(piece.base),
@@ -1105,8 +1105,8 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
       }
       post_chunk_read(c, r, ch);
       ++rndv_read_track_.retries;
-      ++retransmits_;
-      replayed_bytes_ += m;
+      ++stats_.retransmits;
+      stats_.replayed_bytes += m;
     }
   }
 
@@ -1152,8 +1152,8 @@ sim::Task<void> AdaptiveChannel::replay(VerbsConnection& conn,
         c.r_fin_rkey,
         /*signaled=*/false});
     ++rndv_write_track_.retries;
-    retransmits_ += 2;
-    replayed_bytes_ += m;
+    stats_.retransmits += 2;
+    stats_.replayed_bytes += m;
   }
 }
 

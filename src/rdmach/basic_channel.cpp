@@ -175,14 +175,14 @@ sim::Task<void> BasicChannel::replay(VerbsConnection& c,
     const std::size_t off = static_cast<std::size_t>(peer_consumed % R);
     const std::size_t first = std::min(n, R - off);
     post_ring_write(c, off, first, off, /*signaled=*/false, next_wr_id());
-    ++retransmits_;
+    ++stats_.retransmits;
     if (first < n) {
       post_ring_write(c, 0, n - first, 0, /*signaled=*/false, next_wr_id());
-      ++retransmits_;
+      ++stats_.retransmits;
     }
     post_head_update(c);
-    ++retransmits_;
-    replayed_bytes_ += n;
+    ++stats_.retransmits;
+    stats_.replayed_bytes += n;
   }
   co_return;
 }

@@ -1,5 +1,6 @@
 #include "rdmach/channel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "rdmach/adaptive_channel.hpp"
@@ -59,16 +60,60 @@ sim::Task<void> Channel::pre_progress() {
   co_return;  // dense designs have no out-of-band service work
 }
 
-ChannelStats Channel::stats() const {
-  ChannelStats s;
+ChannelStats& ChannelStats::operator+=(const ChannelStats& o) {
+  const auto add = [](ProtoStats& to, const ProtoStats& from) {
+    to.ops += from.ops;
+    to.bytes += from.bytes;
+    to.retries += from.retries;
+    to.mbps = std::max(to.mbps, from.mbps);
+  };
+  add(eager, o.eager);
+  add(rndv_write, o.rndv_write);
+  add(rndv_read, o.rndv_read);
+  recoveries += o.recoveries;
+  crc_failures += o.crc_failures;
+  retransmits += o.retransmits;
+  reg_fallbacks += o.reg_fallbacks;
+  cq_overruns += o.cq_overruns;
+  credit_stalls += o.credit_stalls;
+  watchdog_trips += o.watchdog_trips;
+  replayed_bytes += o.replayed_bytes;
+  eager_threshold = std::max(eager_threshold, o.eager_threshold);
+  write_read_crossover = std::max(write_read_crossover, o.write_read_crossover);
+  if (o.rails.size() > rails.size()) rails.resize(o.rails.size());
+  for (std::size_t i = 0; i < o.rails.size(); ++i) {
+    rails[i].bytes += o.rails[i].bytes;
+    rails[i].stripes += o.rails[i].stripes;
+    rails[i].failovers += o.rails[i].failovers;
+  }
+  rail_failovers += o.rail_failovers;
+  rail_quarantines += o.rail_quarantines;
+  rail_reinstates += o.rail_reinstates;
+  suspicion_trips += o.suspicion_trips;
+  false_suspicions += o.false_suspicions;
+  degraded_ns += o.degraded_ns;
+  qps_created += o.qps_created;
+  qps_evicted += o.qps_evicted;
+  connects_on_demand += o.connects_on_demand;
+  srq_pool_high_water = std::max(srq_pool_high_water, o.srq_pool_high_water);
+  resident_bytes += o.resident_bytes;
+  qps_live += o.qps_live;
+  qp_thrash += o.qp_thrash;
+  obits_posted += o.obits_posted;
+  obit_fast_fails += o.obit_fast_fails;
+  return *this;
+}
+
+void Channel::snapshot_protocols(ChannelStats& s) const {
   s.eager = snapshot(eager_track_);
   s.rndv_write = snapshot(rndv_write_track_);
   s.rndv_read = snapshot(rndv_read_track_);
   s.eager_threshold = cfg_.zero_copy_threshold;
-  s.rma_puts = rma_puts_;
-  s.rma_gets = rma_gets_;
-  s.rma_atomics = rma_atomics_;
-  s.rma_flushes = rma_flushes_;
+}
+
+ChannelStats Channel::stats() const {
+  ChannelStats s;
+  snapshot_protocols(s);
   return s;
 }
 
@@ -76,10 +121,6 @@ void Channel::reset_stats() {
   eager_track_ = ProtoTrack{};
   rndv_write_track_ = ProtoTrack{};
   rndv_read_track_ = ProtoTrack{};
-  rma_puts_ = 0;
-  rma_gets_ = 0;
-  rma_atomics_ = 0;
-  rma_flushes_ = 0;
 }
 
 std::string ChannelError::to_string() const {

@@ -253,6 +253,8 @@ struct ProtoStats {
   /// Observed goodput (MB/s, MB = 1e6 B): selector EWMA for the rendezvous
   /// protocols of the adaptive design, bytes-over-active-interval elsewhere.
   double mbps = 0.0;
+
+  bool operator==(const ProtoStats&) const = default;
 };
 
 /// Snapshot of a channel's protocol decisions and per-protocol traffic;
@@ -296,6 +298,8 @@ struct ChannelStats {
     std::uint64_t bytes = 0;
     std::uint64_t stripes = 0;
     std::uint64_t failovers = 0;
+
+    bool operator==(const RailStats&) const = default;
   };
   std::vector<RailStats> rails;
   /// Total (connection, rail) pairs that failed over to surviving rails.
@@ -342,19 +346,16 @@ struct ChannelStats {
   /// Operations against a peer that failed fast off the obituary board
   /// instead of burning a local retry budget -- the O(1)-detection payoff.
   std::uint64_t obit_fast_fails = 0;
-  // ---- one-sided RMA (mpi::Window through the CH3 note hook) --------------
-  /// Window put/get/atomic operations issued and flush/fence epochs closed
-  /// by this rank.  The window drives its own QP mesh, so these are
-  /// accounted at the facade the engine exposes (note_rma), not by any
-  /// member's data path -- MultiMethod sums members *and* its own.
-  std::uint64_t rma_puts = 0;
-  std::uint64_t rma_gets = 0;
-  std::uint64_t rma_atomics = 0;
-  std::uint64_t rma_flushes = 0;
-};
 
-/// One-sided operation classes for Channel::note_rma / ChannelStats.
-enum class RmaOp { kPut, kGet, kAtomic, kFlush };
+  /// Folds `o` into this snapshot -- the one place that says how each field
+  /// aggregates across channels or ranks: counters, gauges and per-protocol
+  /// ops/bytes/retries sum, rails[] sums element by element, and rates and
+  /// thresholds (mbps, eager_threshold, write_read_crossover,
+  /// srq_pool_high_water) take the larger value.
+  ChannelStats& operator+=(const ChannelStats& o);
+
+  bool operator==(const ChannelStats&) const = default;
+};
 
 /// Diagnostic state of a recovery episode at the moment it was given up,
 /// attached to the ChannelError so a failed NAS run (or chaos soak) reports
@@ -503,18 +504,6 @@ class Channel {
   /// from zero; connection/protocol *state* is untouched.
   virtual void reset_stats();
 
-  /// One-sided RMA accounting (mpi::Window): the window moves its traffic
-  /// over a dedicated QP mesh, so the op counts are *noted* here rather
-  /// than observed by put/get, and surface through stats().
-  virtual void note_rma(RmaOp op) {
-    switch (op) {
-      case RmaOp::kPut: ++rma_puts_; break;
-      case RmaOp::kGet: ++rma_gets_; break;
-      case RmaOp::kAtomic: ++rma_atomics_; break;
-      case RmaOp::kFlush: ++rma_flushes_; break;
-    }
-  }
-
   // ---- conveniences -------------------------------------------------------
   // Coroutines (not plain forwarders) so the iov lives in the frame for the
   // whole lazy-task lifetime.
@@ -580,16 +569,15 @@ class Channel {
     }
     return s;
   }
+  /// Writes the per-protocol snapshots and the eager threshold into `s`:
+  /// the part of stats() every design shares.
+  void snapshot_protocols(ChannelStats& s) const;
 
   pmi::Context* ctx_;
   ChannelConfig cfg_;
   ProtoTrack eager_track_;
   ProtoTrack rndv_write_track_;
   ProtoTrack rndv_read_track_;
-  std::uint64_t rma_puts_ = 0;
-  std::uint64_t rma_gets_ = 0;
-  std::uint64_t rma_atomics_ = 0;
-  std::uint64_t rma_flushes_ = 0;
 };
 
 }  // namespace rdmach

@@ -5,8 +5,6 @@
 // SHMEM and network channels under CH3).
 #pragma once
 
-#include <algorithm>
-
 #include "rdmach/channel.hpp"
 #include "sim/sync.hpp"
 
@@ -34,58 +32,11 @@ class MultiMethodChannel : public Channel {
   /// it for recovery statistics.
   Channel* net() const noexcept { return net_.get(); }
 
-  /// Member-channel counters, summed (mbps: the busier member's figure).
-  /// Starts from the facade's own base counters: one-sided RMA is noted on
-  /// the channel object the engine exposes -- this one -- so the rma_*
-  /// counts live here, not in any member.
+  /// Member-channel counters, merged by ChannelStats::operator+=.
   ChannelStats stats() const override {
     ChannelStats s = Channel::stats();
-    const Channel* members[] = {shm_.get(), net_.get()};
-    for (const Channel* m : members) {
-      if (m == nullptr) continue;
-      const ChannelStats t = m->stats();
-      const ProtoStats* from[] = {&t.eager, &t.rndv_write, &t.rndv_read};
-      ProtoStats* to[] = {&s.eager, &s.rndv_write, &s.rndv_read};
-      for (int i = 0; i < 3; ++i) {
-        to[i]->ops += from[i]->ops;
-        to[i]->bytes += from[i]->bytes;
-        to[i]->retries += from[i]->retries;
-        to[i]->mbps = std::max(to[i]->mbps, from[i]->mbps);
-      }
-      s.recoveries += t.recoveries;
-      s.crc_failures += t.crc_failures;
-      s.retransmits += t.retransmits;
-      s.reg_fallbacks += t.reg_fallbacks;
-      s.cq_overruns += t.cq_overruns;
-      s.credit_stalls += t.credit_stalls;
-      s.watchdog_trips += t.watchdog_trips;
-      s.replayed_bytes += t.replayed_bytes;
-      s.rma_puts += t.rma_puts;
-      s.rma_gets += t.rma_gets;
-      s.rma_atomics += t.rma_atomics;
-      s.rma_flushes += t.rma_flushes;
-      s.qps_created += t.qps_created;
-      s.qps_evicted += t.qps_evicted;
-      s.connects_on_demand += t.connects_on_demand;
-      s.qps_live += t.qps_live;
-      s.resident_bytes += t.resident_bytes;
-      s.srq_pool_high_water =
-          std::max(s.srq_pool_high_water, t.srq_pool_high_water);
-      s.eager_threshold = std::max(s.eager_threshold, t.eager_threshold);
-      s.write_read_crossover =
-          std::max(s.write_read_crossover, t.write_read_crossover);
-      if (t.rails.size() > s.rails.size()) s.rails.resize(t.rails.size());
-      for (std::size_t i = 0; i < t.rails.size(); ++i) {
-        s.rails[i].bytes += t.rails[i].bytes;
-        s.rails[i].stripes += t.rails[i].stripes;
-        s.rails[i].failovers += t.rails[i].failovers;
-      }
-      s.rail_failovers += t.rail_failovers;
-      s.rail_quarantines += t.rail_quarantines;
-      s.rail_reinstates += t.rail_reinstates;
-      s.suspicion_trips += t.suspicion_trips;
-      s.false_suspicions += t.false_suspicions;
-      s.degraded_ns += t.degraded_ns;
+    for (const Channel* m : {shm_.get(), net_.get()}) {
+      if (m != nullptr) s += m->stats();
     }
     return s;
   }

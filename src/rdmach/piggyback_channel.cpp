@@ -245,8 +245,8 @@ sim::Task<void> PiggybackChannel::replay(VerbsConnection& conn,
     const std::size_t slot_bytes = sizeof(SlotHeader) + hdr.payload_len + 4;
     post_ring_write(c, ring_off, slot_bytes, ring_off, /*signaled=*/false,
                     next_wr_id());
-    ++retransmits_;
-    replayed_bytes_ += slot_bytes;
+    ++stats_.retransmits;
+    stats_.replayed_bytes += slot_bytes;
   }
   co_return;
 }

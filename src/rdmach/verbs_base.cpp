@@ -56,7 +56,7 @@ sim::Task<void> VerbsChannelBase::init() {
         "rank" + std::to_string(rank()) + ".rail" + std::to_string(r) +
         ".cq"));
   }
-  rail_track_.assign(static_cast<std::size_t>(num_rails_), {});
+  stats_.rails.assign(static_cast<std::size_t>(num_rails_), {});
   rail_health_.assign(static_cast<std::size_t>(num_rails_), {});
 
   conns_.clear();
@@ -105,7 +105,7 @@ sim::Task<void> VerbsChannelBase::init() {
                                                   sizeof(CtrlBlock),
                                                   ib::kAllAccess);
     conn->qp = &node().hca().create_qp(*pd_, *cq_, *cq_);
-    ++qps_created_;
+    ++stats_.qps_created;
     kvs.put_u64(key(rank(), p, "qpn"), conn->qp->qp_num());
     kvs.put_u64(key(rank(), p, "ring_addr"),
                 reinterpret_cast<std::uint64_t>(conn->recv_ring.data()));
@@ -259,6 +259,40 @@ std::uint64_t VerbsChannelBase::activity_count() const {
   return node().dma_arrival().fire_count();
 }
 
+ChannelStats VerbsChannelBase::stats() const {
+  ChannelStats s = stats_;
+  snapshot_protocols(s);
+  for (const RailHealth& h : rail_health_) {
+    // Open quarantines count up to "now": a campaign that ends mid-
+    // probation still reports how long the rail has been out.
+    if (h.quarantined) {
+      s.degraded_ns += static_cast<std::uint64_t>(ctx_->sim().now() - h.since);
+    }
+  }
+  s.qps_live = qps_live_;
+  s.srq_pool_high_water = srq_pool_.high_water();
+  s.resident_bytes = srq_pool_.bytes();
+  for (const auto& c : conns_) {
+    if (!c) continue;
+    s.resident_bytes +=
+        c->recv_ring.size() + c->staging.size() + sizeof(CtrlBlock);
+  }
+  return s;
+}
+
+void VerbsChannelBase::reset_stats() {
+  Channel::reset_stats();
+  // The per-rail slots are sized at init: zero them in place.
+  std::vector<ChannelStats::RailStats> rails = std::move(stats_.rails);
+  rails.assign(rails.size(), {});
+  stats_ = ChannelStats{};
+  stats_.rails = std::move(rails);
+  for (RailHealth& h : rail_health_) {
+    // Restart the open-quarantine clock so per-phase deltas stay exact.
+    if (h.quarantined) h.since = ctx_->sim().now();
+  }
+}
+
 void VerbsChannelBase::post_ring_write(VerbsConnection& c,
                                        std::size_t staging_off,
                                        std::size_t len, std::size_t ring_off,
@@ -350,7 +384,7 @@ void VerbsChannelBase::drain_cq() {
         auto it = qp_index_.find(wc.qp_num);
         if (it != qp_index_.end()) it->second->rec.failed = true;
         completed_[wc.wr_id] = wc;
-        ++cq_overruns_;
+        ++stats_.cq_overruns;
       }
     }
   }
@@ -374,7 +408,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
       h.probe_virgin = false;
       // The very first probe already measuring healthy means the detector
       // jumped at noise, not at a degrade.
-      if (healthy) ++false_suspicions_;
+      if (healthy) ++stats_.false_suspicions;
     }
     if (!healthy) {
       h.healthy_probes = 0;
@@ -391,8 +425,8 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
     h.var = 0.0;
     h.skip_count = 0;
     h.healthy_probes = 0;
-    degraded_ns_ += static_cast<std::uint64_t>(ctx_->sim().now() - h.since);
-    ++rail_reinstates_;
+    stats_.degraded_ns += static_cast<std::uint64_t>(ctx_->sim().now() - h.since);
+    ++stats_.rail_reinstates;
     return;
   }
 
@@ -407,7 +441,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
       // a degraded rail must not drag its own baseline down until the
       // degrade looks normal.
       if (++h.suspicion == cfg_.health_suspicion_trip) {
-        ++suspicion_trips_;
+        ++stats_.suspicion_trips;
         // Never quarantine the last usable rail -- a fully-degraded node
         // still needs a stripe set of one.
         int usable = 0;
@@ -421,7 +455,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
           h.skip_count = 0;
           h.healthy_probes = 0;
           h.probe_virgin = true;
-          ++rail_quarantines_;
+          ++stats_.rail_quarantines;
         } else {
           // Conviction refused; keep accruing so a later-recovered fleet
           // can still quarantine (score capped at trip by the == above).
@@ -535,7 +569,7 @@ RecoverySnapshot VerbsChannelBase::make_snapshot(const VerbsConnection& c,
 void VerbsChannelBase::post_obituary(VerbsConnection& c) {
   if (!cfg_.ft_detector) return;
   if (!ctx_->kvs->post_obit(c.peer)) return;
-  ++obits_posted_;
+  ++stats_.obits_posted;
   // Progress engines park on the fabric dma_arrival triggers, not the KVS
   // one: wake every node (one wire latency out, like any CM event) so
   // parked loops re-check the board instead of sleeping on a corpse.
@@ -544,7 +578,7 @@ void VerbsChannelBase::post_obituary(VerbsConnection& c) {
 
 void VerbsChannelBase::obit_fast_fail(VerbsConnection& c, const char* stage) {
   if (!cfg_.ft_detector || !peer_obituaried(c)) return;
-  ++obit_fast_fails_;
+  ++stats_.obit_fast_fails;
   c.rec.dead = true;
   RecoverySnapshot snap = make_snapshot(c, std::string("obituary:") + stage);
   throw ChannelError(c.peer,
@@ -554,7 +588,7 @@ void VerbsChannelBase::obit_fast_fail(VerbsConnection& c, const char* stage) {
 }
 
 void VerbsChannelBase::watchdog_abort(VerbsConnection& c, const char* stage) {
-  ++watchdog_trips_;
+  ++stats_.watchdog_trips;
   c.rec.dead = true;
   // Same release protocol as budget exhaustion: the peer may be parked in
   // its own handshake wait -- publish the verdict, then wake it.
@@ -602,7 +636,7 @@ sim::Task<void> VerbsChannelBase::flush_crc_charge() {
 }
 
 void VerbsChannelBase::flag_integrity_failure(VerbsConnection& c) {
-  ++crc_failures_;
+  ++stats_.crc_failures;
   c.integrity_failed = true;
   c.rec.nacks++;
   c.rec.last_nack_epoch = c.rec.epoch;
@@ -620,7 +654,7 @@ std::uint64_t VerbsChannelBase::checked_tail(VerbsConnection& c) {
       // A lying tail word (e.g. corrupted garbage-high) must not mint ring
       // credit.  No NACK needed: tail updates are repeated, so the next
       // clean one heals this without a round trip.
-      ++crc_failures_;
+      ++stats_.crc_failures;
     }
   }
   return c.tail_valid;
@@ -630,7 +664,7 @@ bool VerbsChannelBase::credit_denied() {
   sim::FaultSchedule* faults = ctx_->fabric().faults();
   if (faults == nullptr) return false;
   if (!faults->check(node().name() + ".credit")) return false;
-  ++credit_stalls_;
+  ++stats_.credit_stalls;
   schedule_retry_wakeup();
   return true;
 }
@@ -796,7 +830,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   // will re-arm it.
   c.integrity_failed = false;
   qp_index_[c.qp->qp_num()] = &c;
-  ++recoveries_;
+  ++stats_.recoveries;
 
   // Progress in either direction since the last epoch refunds the retry
   // budget; only consecutive *no-progress* attempts count against it.
@@ -896,7 +930,7 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
       // Shared-pool exhaustion maps onto the credit-denial degradation
       // path: backpressure (the requester stays cold, a delayed wakeup
       // retries), never a deadlock.
-      ++credit_stalls_;
+      ++stats_.credit_stalls;
       schedule_retry_wakeup();
       co_return false;
     }
@@ -985,7 +1019,7 @@ sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
   lz_unpend(c.peer);
   lz_activate(c.peer);
   ++qps_live_;
-  ++connects_on_demand_;
+  ++stats_.connects_on_demand;
   // Evict/reconnect ping-pong: re-wiring a peer this rank itself evicted
   // within the last qp_budget evictions means the working set (for the
   // tree collectives, 2*log2(p) dissemination peers) exceeds the budget --
@@ -993,7 +1027,7 @@ sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
   if (c.lz_evicted_at != 0 && cfg_.qp_budget > 0 &&
       lz_evict_seq_ - c.lz_evicted_at <
           static_cast<std::uint64_t>(cfg_.qp_budget)) {
-    ++qp_thrash_;
+    ++stats_.qp_thrash;
     if (!qp_thrash_warned_) {
       qp_thrash_warned_ = true;
       std::fprintf(stderr,
@@ -1142,7 +1176,7 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
         // Mutual eviction: both sides requested; each treats the other's
         // request as the acknowledgement.
         co_await lazy_teardown(c);
-        ++qps_evicted_;
+        ++stats_.qps_evicted;
         if (lz_evict_peer_ == from) lz_evict_peer_ = -1;
         co_return;
       }
@@ -1163,7 +1197,7 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
         co_return;
       }
       co_await lazy_teardown(c);
-      ++qps_evicted_;
+      ++stats_.qps_evicted;
       // Acknowledge only after the teardown's quiesce: when the initiator
       // processes this, nothing of ours can still be in flight toward it.
       lz_post_mail(c, "a:" + std::to_string(rank()) + ":" +
@@ -1173,7 +1207,7 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
     case 'a':
       if (gen == c.lz_gen && c.boot == Boot::kEvictWait) {
         co_await lazy_teardown(c);
-        ++qps_evicted_;
+        ++stats_.qps_evicted;
       }
       if (lz_evict_peer_ == from) lz_evict_peer_ = -1;
       co_return;

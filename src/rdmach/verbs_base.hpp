@@ -201,80 +201,13 @@ class VerbsChannelBase : public Channel {
   ib::Node& node() const noexcept { return *ctx_->node; }
 
   /// How many QP re-handshakes this channel has completed (all peers).
-  std::uint64_t recoveries() const noexcept { return recoveries_; }
+  std::uint64_t recoveries() const noexcept { return stats_.recoveries; }
 
-  ChannelStats stats() const override {
-    ChannelStats s = Channel::stats();
-    s.recoveries = recoveries_;
-    s.crc_failures = crc_failures_;
-    s.retransmits = retransmits_;
-    s.reg_fallbacks = reg_fallbacks_;
-    s.cq_overruns = cq_overruns_;
-    s.credit_stalls = credit_stalls_;
-    s.watchdog_trips = watchdog_trips_;
-    s.replayed_bytes = replayed_bytes_;
-    s.rails.assign(rail_track_.begin(), rail_track_.end());
-    s.rail_failovers = rail_failovers_;
-    s.qps_created = qps_created_;
-    s.qps_evicted = qps_evicted_;
-    s.connects_on_demand = connects_on_demand_;
-    s.qps_live = qps_live_;
-    s.qp_thrash = qp_thrash_;
-    s.obits_posted = obits_posted_;
-    s.obit_fast_fails = obit_fast_fails_;
-    s.rail_quarantines = rail_quarantines_;
-    s.rail_reinstates = rail_reinstates_;
-    s.suspicion_trips = suspicion_trips_;
-    s.false_suspicions = false_suspicions_;
-    s.degraded_ns = degraded_ns_;
-    for (const RailHealth& h : rail_health_) {
-      // Open quarantines count up to "now": a campaign that ends mid-
-      // probation still reports how long the rail has been out.
-      if (h.quarantined) {
-        s.degraded_ns +=
-            static_cast<std::uint64_t>(ctx_->sim().now() - h.since);
-      }
-    }
-    s.srq_pool_high_water = srq_pool_.high_water();
-    std::uint64_t resident = srq_pool_.bytes();
-    for (const auto& c : conns_) {
-      if (!c) continue;
-      resident += c->recv_ring.size() + c->staging.size() + sizeof(CtrlBlock);
-    }
-    s.resident_bytes = resident;
-    return s;
-  }
-
-  void reset_stats() override {
-    Channel::reset_stats();
-    recoveries_ = 0;
-    crc_failures_ = 0;
-    retransmits_ = 0;
-    reg_fallbacks_ = 0;
-    cq_overruns_ = 0;
-    credit_stalls_ = 0;
-    watchdog_trips_ = 0;
-    replayed_bytes_ = 0;
-    rail_failovers_ = 0;
-    for (auto& t : rail_track_) t = ChannelStats::RailStats{};
-    qps_created_ = 0;
-    qps_evicted_ = 0;
-    connects_on_demand_ = 0;
-    qp_thrash_ = 0;
-    obits_posted_ = 0;
-    obit_fast_fails_ = 0;
-    rail_quarantines_ = 0;
-    rail_reinstates_ = 0;
-    suspicion_trips_ = 0;
-    false_suspicions_ = 0;
-    degraded_ns_ = 0;
-    for (RailHealth& h : rail_health_) {
-      // Restart the open-quarantine clock so per-phase deltas stay exact.
-      if (h.quarantined) h.since = ctx_->sim().now();
-    }
-    // qps_live_ / srq high water are state gauges, not counters: they keep
-    // describing what is resident right now.
-  }
+  /// Copies the monotone counters and fills in the gauges: live QPs,
+  /// resident bytes, the SRQ high water and open-quarantine time.
+  ChannelStats stats() const override;
+  /// Zeroes the counters; the gauges keep describing what is resident now.
+  void reset_stats() override;
 
  protected:
   VerbsChannelBase(pmi::Context& ctx, const ChannelConfig& cfg)
@@ -368,13 +301,13 @@ class VerbsChannelBase : public Channel {
   /// Creates a QP bound to `rail`'s port, completing into that rail's CQ.
   ib::QueuePair& create_rail_qp(int rail) {
     ib::Port& port = node().rail(rail);
-    ++qps_created_;
+    ++stats_.qps_created;
     return port.hca().create_qp(pd(), rail_cq(rail), rail_cq(rail), port);
   }
   /// Accounts `bytes` of data-plane traffic scheduled onto `rail`.
   void note_rail(int rail, std::uint64_t bytes) {
     if (rail < 0 || rail >= num_rails_) return;
-    auto& t = rail_track_[static_cast<std::size_t>(rail)];
+    auto& t = stats_.rails[static_cast<std::size_t>(rail)];
     t.bytes += bytes;
     ++t.stripes;
   }
@@ -386,8 +319,8 @@ class VerbsChannelBase : public Channel {
       return;
     }
     c.rail_failed[static_cast<std::size_t>(rail)] = 1;
-    ++rail_track_[static_cast<std::size_t>(rail)].failovers;
-    ++rail_failovers_;
+    ++stats_.rails[static_cast<std::size_t>(rail)].failovers;
+    ++stats_.rail_failovers;
   }
 
   // ---- gray-failure health monitor (ChannelConfig::health_detector) -------
@@ -579,15 +512,11 @@ class VerbsChannelBase : public Channel {
                            std::span<const Iov> iovs, std::size_t iov_off,
                            std::size_t n, std::size_t ws);
 
-  // Integrity / degradation counters surfaced through stats().
-  std::uint64_t crc_failures_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t reg_fallbacks_ = 0;
-  std::uint64_t cq_overruns_ = 0;
-  std::uint64_t credit_stalls_ = 0;
-  std::uint64_t watchdog_trips_ = 0;
-  /// Bytes re-posted by replay; designs account at each replay post site.
-  std::uint64_t replayed_bytes_ = 0;
+  /// The monotone counters behind stats(); designs bump them in place
+  /// (replayed_bytes at each replay post site, degraded_ns when a
+  /// quarantine window closes).  The gauge fields stay zero here and are
+  /// filled in by stats().
+  ChannelStats stats_;
 
   std::vector<std::unique_ptr<VerbsConnection>> conns_;  // [peer]; self null
   /// Live QPs only; an error CQE whose qp_num is absent belongs to a torn
@@ -653,15 +582,8 @@ class VerbsChannelBase : public Channel {
   /// them; wr_ids are globally unique across rails.
   std::vector<ib::CompletionQueue*> cqs_;
   int num_rails_ = 1;
-  std::vector<ChannelStats::RailStats> rail_track_;
-  std::uint64_t rail_failovers_ = 0;
   // ---- gray-failure health monitor ----------------------------------------
   std::vector<RailHealth> rail_health_;  // sized to num_rails_ at init
-  std::uint64_t rail_quarantines_ = 0;
-  std::uint64_t rail_reinstates_ = 0;
-  std::uint64_t suspicion_trips_ = 0;
-  std::uint64_t false_suspicions_ = 0;
-  std::uint64_t degraded_ns_ = 0;  // closed quarantine windows only
   /// Cheap over-approximation of "some connection has an armed watchdog
   /// episode": set when recover() arms a deadline, never on the fault-free
   /// path -- gates the per-CQE qp_index_ lookup that credits successful
@@ -672,7 +594,6 @@ class VerbsChannelBase : public Channel {
   /// hot path never allocates).
   std::vector<ib::Wc> wc_scratch_;
   std::uint64_t wr_seq_ = 0;
-  std::uint64_t recoveries_ = 0;
   /// Modelled CRC cost not yet charged to the memory bus.
   std::size_t pending_crc_bytes_ = 0;
 
@@ -695,18 +616,12 @@ class VerbsChannelBase : public Channel {
   /// livelock on evict/reconnect.
   int lz_protect_ = -1;
   std::uint64_t lz_clock_ = 0;
-  std::uint64_t qps_created_ = 0;
-  std::uint64_t qps_evicted_ = 0;
-  std::uint64_t connects_on_demand_ = 0;
   /// Resident connections (wired QP sets), the qp_budget gauge.
   std::uint64_t qps_live_ = 0;
   /// Evictions this rank has initiated (the thrash-window clock).
   std::uint64_t lz_evict_seq_ = 0;
-  std::uint64_t qp_thrash_ = 0;
   /// One-shot diagnostic guard for the thrash warning.
   bool qp_thrash_warned_ = false;
-  std::uint64_t obits_posted_ = 0;
-  std::uint64_t obit_fast_fails_ = 0;
 };
 
 }  // namespace rdmach

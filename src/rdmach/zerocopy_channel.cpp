@@ -106,7 +106,7 @@ sim::Task<std::size_t> ZeroCopyChannel::put(Connection& conn,
       refused = true;  // co_await is illegal in a handler; flag and go
     }
     if (refused) {
-      ++reg_fallbacks_;
+      ++stats_.reg_fallbacks;
       const std::size_t copied =
           co_await PipelineChannel::put(conn, iovs.subspan(split, 1));
       co_return accepted + copied;
@@ -168,7 +168,7 @@ sim::Task<void> ZeroCopyChannel::issue_read(SlotConnection& c,
   if (refused) {
     // Transient exhaustion: leave the rendezvous where it is and retry the
     // registration on a later get (the wakeup keeps pollers from parking).
-    ++reg_fallbacks_;
+    ++stats_.reg_fallbacks;
     schedule_retry_wakeup();
     co_return;
   }
@@ -316,8 +316,8 @@ sim::Task<void> ZeroCopyChannel::replay(VerbsConnection& conn,
     co_await cache_->invalidate(c.r_dst_mr);
     c.r_dst_mr = co_await cache_->acquire(dst, m);
     c.r_read_wr = next_wr_id();
-    ++retransmits_;
-    replayed_bytes_ += m;
+    ++stats_.retransmits;
+    stats_.replayed_bytes += m;
     c.qp->post_send(ib::SendWr{c.r_read_wr,
                                ib::Opcode::kRdmaRead,
                                {ib::Sge{dst, m, c.r_dst_mr->lkey()}},

@@ -43,7 +43,6 @@ struct RunResult {
   bool recv_error = false;
   rdmach::ChannelError::Kind send_kind = rdmach::ChannelError::kDead;
   rdmach::ChannelError::Kind recv_kind = rdmach::ChannelError::kDead;
-  std::uint64_t recoveries = 0;
   std::uint64_t faults = 0;
   rdmach::ChannelStats stats;  // both ranks' counters, summed
 };
@@ -105,14 +104,7 @@ RunResult run_stream(rdmach::Design design, const Traffic& traffic,
   sim.run_until(kDeadline);
   for (int r = 0; r < 2; ++r) {
     if (ch[r] == nullptr) continue;
-    const rdmach::ChannelStats t = ch[r]->stats();
-    rr.recoveries += t.recoveries;
-    rr.stats.recoveries += t.recoveries;
-    rr.stats.crc_failures += t.crc_failures;
-    rr.stats.retransmits += t.retransmits;
-    rr.stats.reg_fallbacks += t.reg_fallbacks;
-    rr.stats.cq_overruns += t.cq_overruns;
-    rr.stats.credit_stalls += t.credit_stalls;
+    rr.stats += ch[r]->stats();
   }
   if (plan != nullptr) rr.faults = plan->schedule.killed();
   return rr;
@@ -178,7 +170,7 @@ TEST(ChaosIntegrity, CorruptionIsSilentWithIntegrityOff) {
   ASSERT_TRUE(rr.recv_done);
   EXPECT_NE(rr.received, traffic.bytes);  // silently corrupted
   EXPECT_EQ(rr.stats.crc_failures, 0u);
-  EXPECT_EQ(rr.recoveries, 0u);
+  EXPECT_EQ(rr.stats.recoveries, 0u);
 }
 
 TEST(ChaosIntegrity, CorruptFloodRaisesIntegrityErrorNotHang) {
@@ -224,7 +216,7 @@ TEST(ChaosExhaustion, ZeroCopyRegistrationDenialFallsBackToCopyPath) {
   ASSERT_TRUE(rr.recv_done);
   EXPECT_EQ(rr.received, traffic.bytes);
   EXPECT_GE(rr.stats.reg_fallbacks, 1u);
-  EXPECT_EQ(rr.recoveries, 0u);
+  EXPECT_EQ(rr.stats.recoveries, 0u);
 }
 
 TEST(ChaosExhaustion, AdaptiveRegistrationDenialFallsBackAndRecoversLater) {
@@ -262,7 +254,7 @@ TEST(ChaosExhaustion, CqOverrunDrainsAndRearms) {
   ASSERT_TRUE(rr.recv_done);
   EXPECT_EQ(rr.received, traffic.bytes);
   EXPECT_GE(rr.stats.cq_overruns, 1u);
-  EXPECT_GE(rr.recoveries, 1u);
+  EXPECT_GE(rr.stats.recoveries, 1u);
 }
 
 TEST(ChaosExhaustion, CreditDenialBackpressuresWithoutRecovery) {
@@ -281,7 +273,7 @@ TEST(ChaosExhaustion, CreditDenialBackpressuresWithoutRecovery) {
   ASSERT_TRUE(rr.recv_done);
   EXPECT_EQ(rr.received, traffic.bytes);
   EXPECT_GE(rr.stats.credit_stalls, 5u);
-  EXPECT_EQ(rr.recoveries, 0u);
+  EXPECT_EQ(rr.stats.recoveries, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ TEST_P(ChaosDesignTest, SeededChaosSoakDeliversOracleByteStream) {
   // The oracle contract: the FIFO byte stream, bit-exact, no silent loss.
   EXPECT_EQ(rr.received, traffic.bytes);
   // Bounded self-healing: retries happened but did not run away.
-  EXPECT_LE(rr.recoveries, 64u);
+  EXPECT_LE(rr.stats.recoveries, 64u);
   EXPECT_LE(rr.stats.retransmits, 100'000u);
 }
 
@@ -337,7 +329,7 @@ TEST(ChaosSoak, FaultFreeIntegrityRunKeepsHardeningCountersAtZero) {
   EXPECT_EQ(rr.stats.reg_fallbacks, 0u);
   EXPECT_EQ(rr.stats.cq_overruns, 0u);
   EXPECT_EQ(rr.stats.credit_stalls, 0u);
-  EXPECT_EQ(rr.recoveries, 0u);
+  EXPECT_EQ(rr.stats.recoveries, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,8 +372,9 @@ TEST(ChaosMpi, HardeningCountersSurfaceThroughCh3Adapter) {
   }
   // The receiver proved the corruption; the sender paid the retransmit;
   // both movements must be visible through the CH3 stats surface.
-  EXPECT_GE(st[0].crc_failures + st[1].crc_failures, 1u);
-  EXPECT_GE(st[0].retransmits + st[1].retransmits, 1u);
+  st[0] += st[1];
+  EXPECT_GE(st[0].crc_failures, 1u);
+  EXPECT_GE(st[0].retransmits, 1u);
 }
 
 }  // namespace

@@ -59,10 +59,7 @@ struct RunResult {
   rdmach::ChannelError::Kind send_kind = rdmach::ChannelError::kDead;
   rdmach::ChannelError::Kind recv_kind = rdmach::ChannelError::kDead;
   sim::Tick finished = 0;  // virtual time when both ranks were done
-  std::uint64_t recoveries = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t rail_failovers = 0;
-  std::vector<rdmach::ChannelStats::RailStats> rails;  // both ranks, summed
+  rdmach::ChannelStats stats;  // both ranks, summed
 };
 
 /// Streams `traffic` rank0 -> rank1 on a `fcfg` fabric, then a one-byte
@@ -122,16 +119,7 @@ RunResult run_stream(const ib::FabricConfig& fcfg, const Traffic& traffic,
   sim.run_until(kDeadline);
   for (int r = 0; r < 2; ++r) {
     if (ch[r] == nullptr) continue;
-    const rdmach::ChannelStats t = ch[r]->stats();
-    rr.recoveries += t.recoveries;
-    rr.retransmits += t.retransmits;
-    rr.rail_failovers += t.rail_failovers;
-    if (t.rails.size() > rr.rails.size()) rr.rails.resize(t.rails.size());
-    for (std::size_t i = 0; i < t.rails.size(); ++i) {
-      rr.rails[i].bytes += t.rails[i].bytes;
-      rr.rails[i].stripes += t.rails[i].stripes;
-      rr.rails[i].failovers += t.rails[i].failovers;
-    }
+    rr.stats += ch[r]->stats();
   }
   return rr;
 }
@@ -159,18 +147,18 @@ TEST(MultiRail, RailTrafficIsStripedAcrossBothRails) {
   const RunResult rr = run_stream(rails(1, 2), t, nullptr, {});
   ASSERT_TRUE(rr.send_done);
   ASSERT_TRUE(rr.recv_done);
-  ASSERT_EQ(rr.rails.size(), 2u);
+  ASSERT_EQ(rr.stats.rails.size(), 2u);
   // Equal rails, weighted policy: both carry real traffic, roughly evenly.
-  EXPECT_GT(rr.rails[0].bytes, 0u);
-  EXPECT_GT(rr.rails[1].bytes, 0u);
-  EXPECT_GT(rr.rails[0].stripes, 0u);
-  EXPECT_GT(rr.rails[1].stripes, 0u);
+  EXPECT_GT(rr.stats.rails[0].bytes, 0u);
+  EXPECT_GT(rr.stats.rails[1].bytes, 0u);
+  EXPECT_GT(rr.stats.rails[0].stripes, 0u);
+  EXPECT_GT(rr.stats.rails[1].stripes, 0u);
   const double hi = static_cast<double>(
-      std::max(rr.rails[0].bytes, rr.rails[1].bytes));
+      std::max(rr.stats.rails[0].bytes, rr.stats.rails[1].bytes));
   const double lo = static_cast<double>(
-      std::min(rr.rails[0].bytes, rr.rails[1].bytes));
+      std::min(rr.stats.rails[0].bytes, rr.stats.rails[1].bytes));
   EXPECT_LT(hi, 2.0 * lo) << "stripe badly skewed on equal rails";
-  EXPECT_EQ(rr.rail_failovers, 0u);
+  EXPECT_EQ(rr.stats.rail_failovers, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -196,22 +184,22 @@ TEST(MultiRail, RailDeathMidRendezvousFailsOverAndMatchesOracle) {
   // Counters pinned: exactly one (connection, rail) failover -- rank 1's
   // connection abandoning its rail 1 -- and a bounded, non-zero number of
   // chunk retransmits through the journal/replay machinery.
-  EXPECT_EQ(rr.rail_failovers, 1u);
-  EXPECT_GE(rr.recoveries, 1u);
-  EXPECT_GE(rr.retransmits, 1u);
-  EXPECT_LE(rr.retransmits, 16u);
+  EXPECT_EQ(rr.stats.rail_failovers, 1u);
+  EXPECT_GE(rr.stats.recoveries, 1u);
+  EXPECT_GE(rr.stats.retransmits, 1u);
+  EXPECT_LE(rr.stats.retransmits, 16u);
   // Surviving rail 0 carried the bulk of the stream.
-  ASSERT_EQ(rr.rails.size(), 2u);
-  EXPECT_GT(rr.rails[0].bytes, rr.rails[1].bytes);
-  EXPECT_EQ(rr.rails[1].failovers, 1u);
+  ASSERT_EQ(rr.stats.rails.size(), 2u);
+  EXPECT_GT(rr.stats.rails[0].bytes, rr.stats.rails[1].bytes);
+  EXPECT_EQ(rr.stats.rails[1].failovers, 1u);
 
   // Determinism: the same schedule reproduces the same counters exactly.
   FaultPlan plan2;
   plan2.rail_down(1, 1, 2);
   const RunResult rr2 = run_stream(rails(2, 1), t, &plan2, {});
-  EXPECT_EQ(rr2.retransmits, rr.retransmits);
-  EXPECT_EQ(rr2.recoveries, rr.recoveries);
-  EXPECT_EQ(rr2.rail_failovers, rr.rail_failovers);
+  EXPECT_EQ(rr2.stats.retransmits, rr.stats.retransmits);
+  EXPECT_EQ(rr2.stats.recoveries, rr.stats.recoveries);
+  EXPECT_EQ(rr2.stats.rail_failovers, rr.stats.rail_failovers);
 }
 
 TEST(MultiRail, SenderRailDeathFailsOverWriteAndRingTraffic) {
@@ -230,8 +218,8 @@ TEST(MultiRail, SenderRailDeathFailsOverWriteAndRingTraffic) {
   ASSERT_EQ(rr.received.size(), t.bytes.size());
   EXPECT_TRUE(std::memcmp(rr.received.data(), t.bytes.data(),
                           t.bytes.size()) == 0);
-  EXPECT_GE(rr.rail_failovers, 1u);
-  EXPECT_GE(rr.recoveries, 1u);
+  EXPECT_GE(rr.stats.rail_failovers, 1u);
+  EXPECT_GE(rr.stats.recoveries, 1u);
 }
 
 TEST(MultiRail, AllRailsDeadRaisesChannelErrorDead) {
@@ -297,9 +285,9 @@ TEST(MultiRail, WeightedSplitBeatsNaiveRoundRobinOnAsymmetricRails) {
       << "weighted=" << w.finished << " naive=" << n.finished;
   // And the split converged: the fast rail carried clearly more bytes,
   // while naive rotation forced a near-even chunk count.
-  ASSERT_EQ(w.rails.size(), 2u);
-  EXPECT_GT(static_cast<double>(w.rails[0].bytes),
-            1.5 * static_cast<double>(w.rails[1].bytes));
+  ASSERT_EQ(w.stats.rails.size(), 2u);
+  EXPECT_GT(static_cast<double>(w.stats.rails[0].bytes),
+            1.5 * static_cast<double>(w.stats.rails[1].bytes));
 }
 
 }  // namespace

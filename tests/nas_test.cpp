@@ -69,6 +69,13 @@ struct KernelParam {
   int nprocs;
 };
 
+// Without this gtest prints the raw bytes of the param, and `name` is a
+// pointer whose value moves with ASLR: the listed test names would change
+// from one build to the next.
+void PrintTo(const KernelParam& p, std::ostream* os) {
+  *os << p.name << " on " << p.nprocs << " ranks";
+}
+
 class KernelTest : public ::testing::TestWithParam<KernelParam> {};
 
 INSTANTIATE_TEST_SUITE_P(

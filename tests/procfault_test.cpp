@@ -31,6 +31,7 @@
 #include "mpi/runtime.hpp"
 #include "pmi/pmi.hpp"
 #include "rdmach/channel.hpp"
+#include "rdmach/multi_method_channel.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -76,16 +77,16 @@ INSTANTIATE_TEST_SUITE_P(AllRdmaDesigns, ProcFaultDesignTest,
 // Obituary propagation: one conviction job-wide, everyone else fails fast
 // ---------------------------------------------------------------------------
 
-TEST(ProcFault, ObituaryPropagationBurnsOneRetryBudgetJobWide) {
-  // Rank 3 dies right after init.  Rank 0 walks into the corpse first and
-  // pays the full conviction cost (lazy-connect attempts until the budget
-  // convicts).  Ranks 1 and 2 deliberately wait for the obituary to appear
-  // on the board, then try to talk to the dead rank themselves: they must
-  // fail fast on the board entry -- zero recovery attempts, zero budget
-  // burned -- so job-wide exactly one budget was spent on the corpse.
+/// Rank 3 dies right after init.  Rank 0 walks into the corpse first and
+/// pays the full conviction cost (lazy-connect attempts until the budget
+/// convicts).  Ranks 1 and 2 deliberately wait for the obituary to appear
+/// on the board, then try to talk to the dead rank themselves: they must
+/// fail fast on the board entry -- zero recovery attempts, zero budget
+/// burned -- so job-wide exactly one budget was spent on the corpse.
+void check_obituary_propagation(rdmach::Design design) {
   FaultPlan plan;
   rdmach::ChannelConfig cfg;
-  cfg.design = rdmach::Design::kBasic;
+  cfg.design = design;
   cfg.lazy_connect = true;
   cfg.recovery_max_attempts = 3;
   cfg.ft_detector = true;
@@ -138,6 +139,23 @@ TEST(ProcFault, ObituaryPropagationBurnsOneRetryBudgetJobWide) {
     EXPECT_NE(whats[r].find("obituary"), std::string::npos) << whats[r];
   }
   EXPECT_GE(fast_fails, 2u);
+  if (design == rdmach::Design::kMultiMethod) {
+    // One rank per node: every peer is served by the net member, so the
+    // facade must report exactly the member's counters -- any field that
+    // ChannelStats::operator+= forgets to merge shows up here.
+    for (int r = 0; r < 3; ++r) {
+      const auto& mm = static_cast<const rdmach::MultiMethodChannel&>(*ch[r]);
+      EXPECT_TRUE(mm.stats() == mm.net()->stats()) << "rank " << r;
+    }
+  }
+}
+
+TEST(ProcFault, ObituaryPropagationBurnsOneRetryBudgetJobWide) {
+  check_obituary_propagation(rdmach::Design::kBasic);
+}
+
+TEST(ProcFault, ObituaryPropagationThroughMultiMethodFacade) {
+  check_obituary_propagation(rdmach::Design::kMultiMethod);
 }
 
 // ---------------------------------------------------------------------------

@@ -559,12 +559,13 @@ TEST(RmaFault, RmaToDeadRankFailsFastUnderFtDetector) {
 }
 
 // ---------------------------------------------------------------------------
-// ChannelStats facade plumbing
+// Window::Stats accounting
 // ---------------------------------------------------------------------------
 
-TEST(RmaStats, FacadeCountsAndResets) {
-  // The multi-method facade keeps its own rma_* counters (summed on top of
-  // both members' tracks) and reset_channel_stats must zero them.
+TEST(RmaStats, WindowStatsCountEachOpClass) {
+  // One-sided op counts live in Window::Stats only: every put/get/atomic
+  // and every flush bumps exactly one counter, on the multi-method stack
+  // as on any other.
   sim::Simulator sim;
   ib::Fabric fabric{sim};
   pmi::Job job{fabric, 2, /*ranks_per_node=*/2};
@@ -588,21 +589,11 @@ TEST(RmaStats, FacadeCountsAndResets) {
       co_await win->flush(1);
       (void)co_await win->fetch_add(1, 8, 1);
 
-      const rdmach::ChannelStats st = rt.engine().channel().channel_stats();
-      EXPECT_EQ(st.rma_puts, 1u);
-      EXPECT_EQ(st.rma_gets, 1u);
-      EXPECT_EQ(st.rma_atomics, 1u);
-      EXPECT_EQ(st.rma_flushes, 2u);
-
-      rt.engine().channel().reset_channel_stats();
-      const rdmach::ChannelStats zero = rt.engine().channel().channel_stats();
-      EXPECT_EQ(zero.rma_puts, 0u);
-      EXPECT_EQ(zero.rma_gets, 0u);
-      EXPECT_EQ(zero.rma_atomics, 0u);
-      EXPECT_EQ(zero.rma_flushes, 0u);
-
-      rt.engine().channel().note_rma(rdmach::RmaOp::kPut);
-      EXPECT_EQ(rt.engine().channel().channel_stats().rma_puts, 1u);
+      const mpi::Window::Stats& st = win->stats();
+      EXPECT_EQ(st.puts, 1u);
+      EXPECT_EQ(st.gets, 1u);
+      EXPECT_EQ(st.atomics, 1u);
+      EXPECT_EQ(st.flushes, 2u);
       checked = true;
     }
     co_await win->unlock_all();

@@ -265,16 +265,7 @@ GrayResult run_gray(rdmach::Design design, const ib::FabricConfig& fcfg,
   sim.run_until(kGrayDeadline);
   for (int r = 0; r < 2; ++r) {
     if (ch[r] == nullptr) continue;
-    const rdmach::ChannelStats t = ch[r]->stats();
-    rr.stats.recoveries += t.recoveries;
-    rr.stats.retransmits += t.retransmits;
-    rr.stats.watchdog_trips += t.watchdog_trips;
-    rr.stats.rail_failovers += t.rail_failovers;
-    rr.stats.rail_quarantines += t.rail_quarantines;
-    rr.stats.rail_reinstates += t.rail_reinstates;
-    rr.stats.suspicion_trips += t.suspicion_trips;
-    rr.stats.false_suspicions += t.false_suspicions;
-    rr.stats.degraded_ns += t.degraded_ns;
+    rr.stats += ch[r]->stats();
   }
   return rr;
 }
