@@ -31,28 +31,11 @@ inline mpi::RuntimeConfig design_config(rdmach::Design design) {
   return stack_config(ch3::Stack::kRdmaChannel, design);
 }
 
-/// Runs a 2-rank MPI job; `body` executes on both ranks.  `fcfg` selects
-/// the fabric model (rail counts, per-rail link speeds); the default is
-/// the calibrated single-rail fabric every figure bench uses.
-inline void run_pair(
-    const mpi::RuntimeConfig& cfg,
-    const std::function<sim::Task<void>(mpi::Communicator&, pmi::Context&)>&
-        body,
-    const ib::FabricConfig& fcfg = {}) {
-  sim::Simulator sim;
-  ib::Fabric fabric(sim, fcfg);
-  pmi::Job job(fabric, 2);
-  job.launch([&cfg, body](pmi::Context& ctx) -> sim::Task<void> {
-    mpi::Runtime rt(ctx, cfg);
-    co_await rt.init();
-    co_await body(rt.world(), ctx);
-    co_await rt.finalize();
-  });
-  sim.run();
-}
-
-/// run_pair variant whose body also receives the Runtime -- for benches
-/// that read engine/channel statistics before finalize.
+/// Runs a 2-rank MPI job; `body` executes on both ranks between init and
+/// finalize, so it can also read engine/channel statistics from the
+/// Runtime.  `fcfg` selects the fabric model (rail counts, per-rail link
+/// speeds); the default is the calibrated single-rail fabric every figure
+/// bench uses.
 inline void run_pair_rt(
     const mpi::RuntimeConfig& cfg,
     const std::function<sim::Task<void>(mpi::Runtime&, mpi::Communicator&,
@@ -75,8 +58,9 @@ inline double mpi_latency_usec(const mpi::RuntimeConfig& cfg, std::size_t msg,
                                int iters = 30,
                                const ib::FabricConfig& fcfg = {}) {
   sim::Tick elapsed = 0;
-  run_pair(cfg, [msg, iters, &elapsed](mpi::Communicator& world,
-                                       pmi::Context& ctx) -> sim::Task<void> {
+  run_pair_rt(cfg, [msg, iters, &elapsed](
+                       mpi::Runtime&, mpi::Communicator& world,
+                       pmi::Context& ctx) -> sim::Task<void> {
     std::vector<std::byte> buf(msg > 0 ? msg : 1);
     const int n = static_cast<int>(msg);
     if (world.rank() == 0) {
@@ -114,9 +98,9 @@ inline double mpi_bandwidth_mbps(const mpi::RuntimeConfig& cfg,
   rounds = std::max(rounds, 1);
   sim::Tick elapsed = 0;
   std::size_t moved = 0;
-  run_pair(cfg, [msg, window, rounds, &elapsed, &moved](
-                    mpi::Communicator& world,
-                    pmi::Context& ctx) -> sim::Task<void> {
+  run_pair_rt(cfg, [msg, window, rounds, &elapsed, &moved](
+                       mpi::Runtime&, mpi::Communicator& world,
+                       pmi::Context& ctx) -> sim::Task<void> {
     std::vector<std::vector<std::byte>> bufs(
         static_cast<std::size_t>(window), std::vector<std::byte>(msg));
     const int n = static_cast<int>(msg);

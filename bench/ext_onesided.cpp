@@ -16,10 +16,10 @@ struct Numbers {
 
 Numbers measure(std::size_t msg) {
   Numbers out;
-  benchutil::run_pair(
+  benchutil::run_pair_rt(
       benchutil::design_config(rdmach::Design::kZeroCopy),
-      [msg, &out](mpi::Communicator& world, pmi::Context& ctx)
-          -> sim::Task<void> {
+      [msg, &out](mpi::Runtime&, mpi::Communicator& world,
+                  pmi::Context& ctx) -> sim::Task<void> {
         constexpr int kIters = 16;
         std::vector<std::byte> mem(msg), buf(msg);
         auto win = co_await mpi::Window::create(world, mem.data(), msg);

@@ -15,7 +15,7 @@ sim::Task<void> IbDirectChannel::init(EngineHooks& hooks) {
   mux_ = std::make_unique<StreamMux>(*verbs_,
                                      *static_cast<PacketHandler*>(this));
   cache_ = std::make_unique<rdmach::RegCache>(
-      verbs_->pd(), cfg_.channel.reg_cache_capacity,
+      verbs_->pd(), rdmach::kRegCacheCapacity,
       cfg_.channel.use_reg_cache);
 }
 

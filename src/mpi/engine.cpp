@@ -7,11 +7,10 @@
 
 namespace mpi {
 
-Engine::Engine(pmi::Context& ctx, const EngineConfig& cfg)
+Engine::Engine(pmi::Context& ctx, const ch3::StackConfig& cfg)
     : ctx_(&ctx),
-      cfg_(cfg),
-      ch3_(ch3::make_channel(ctx, cfg.stack)),
-      ft_armed_(cfg.stack.channel.ft_detector) {}
+      ch3_(ch3::make_channel(ctx, cfg)),
+      ft_armed_(cfg.channel.ft_detector) {}
 
 Engine::~Engine() = default;
 
@@ -118,7 +117,7 @@ sim::Task<Request> Engine::isend(const void* buf, std::size_t bytes,
     co_return Request(st);
   }
   ++sends;
-  co_await ctx_->node->compute(cfg_.per_op_overhead);
+  co_await ctx_->node->compute(kPerOpOverhead);
   ch3::MatchHeader hdr;
   hdr.src = src_comm_rank;
   hdr.tag = tag;
@@ -160,7 +159,7 @@ sim::Task<Request> Engine::irecv(void* buf, std::size_t bytes,
     co_return Request(st);
   }
   ++recvs;
-  co_await ctx_->node->compute(cfg_.per_op_overhead);
+  co_await ctx_->node->compute(kPerOpOverhead);
 
   // First consult the unexpected queue (arrival order).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {

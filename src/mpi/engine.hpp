@@ -20,18 +20,15 @@
 
 namespace mpi {
 
-struct EngineConfig {
-  ch3::StackConfig stack;
-  /// MPI software-stack cost charged per point-to-point call (request
-  /// allocation, matching, bookkeeping).  Part of the gap between the
-  /// channel's raw latency and the paper's MPI-level numbers; calibrated
-  /// so the piggyback design lands at the paper's 7.4 us.
-  sim::Tick per_op_overhead = sim::usec(0.52);
-};
+/// MPI software-stack cost charged per point-to-point call (request
+/// allocation, matching, bookkeeping).  Part of the gap between the
+/// channel's raw latency and the paper's MPI-level numbers; calibrated so
+/// the piggyback design lands at the paper's 7.4 us.
+inline constexpr sim::Tick kPerOpOverhead = sim::usec(0.52);
 
 class Engine final : public ch3::EngineHooks {
  public:
-  Engine(pmi::Context& ctx, const EngineConfig& cfg);
+  Engine(pmi::Context& ctx, const ch3::StackConfig& cfg);
   ~Engine() override;
 
   sim::Task<void> init();
@@ -63,7 +60,6 @@ class Engine final : public ch3::EngineHooks {
   sim::Task<void> progress_until(const std::function<bool()>& pred);
 
   pmi::Context& ctx() const noexcept { return *ctx_; }
-  const EngineConfig& config() const noexcept { return cfg_; }
   int world_rank() const noexcept { return ctx_->rank; }
   int world_size() const noexcept { return ctx_->size; }
   double wtime() const { return sim::to_sec(ctx_->sim().now()); }
@@ -193,7 +189,6 @@ class Engine final : public ch3::EngineHooks {
   }
 
   pmi::Context* ctx_;
-  EngineConfig cfg_;
   std::unique_ptr<ch3::Ch3Channel> ch3_;
 
   std::list<PostedRecv> posted_;

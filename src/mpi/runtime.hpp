@@ -18,13 +18,12 @@ namespace mpi {
 
 struct RuntimeConfig {
   ch3::StackConfig stack;
-  sim::Tick per_op_overhead = sim::usec(0.52);
 };
 
 class Runtime {
  public:
   Runtime(pmi::Context& ctx, const RuntimeConfig& cfg = {})
-      : ctx_(&ctx), engine_(ctx, EngineConfig{cfg.stack, cfg.per_op_overhead}) {}
+      : ctx_(&ctx), engine_(ctx, cfg.stack) {}
 
   sim::Task<void> init() {
     co_await engine_.init();

@@ -58,7 +58,8 @@ sim::Task<void> Window::init() {
   pd_ = &ctx.node->hca().alloc_pd();
   cq_ = &ctx.node->hca().create_cq("win" + std::to_string(win_id_) + ".cq");
   mr_ = co_await pd_->register_memory(base_, bytes_, ib::kAllAccess);
-  cache_ = std::make_unique<rdmach::RegCache>(*pd_, 64u << 20, true);
+  cache_ = std::make_unique<rdmach::RegCache>(*pd_, rdmach::kRegCacheCapacity,
+                                              true);
 
   // Control block: accumulate lock word, CAS scratch, inbound notify
   // counters by origin, and a ring of outbound notify flag sources (each
@@ -68,15 +69,6 @@ sim::Task<void> Window::init() {
   notify_busy_.assign(kNotifySlots, 0);
   ctrl_mr_ = co_await pd_->register_memory(ctrl_.data(), ctrl_.size() * 8,
                                            ib::kAllAccess);
-
-  // Inline-eager staging ring (off by default).
-  if (cfg_.inline_threshold > 0 && cfg_.inline_slots > 0) {
-    const std::size_t sb = std::max<std::size_t>(cfg_.inline_threshold, 8);
-    slab_.resize(sb * cfg_.inline_slots);
-    slab_mr_ = co_await pd_->register_memory(slab_.data(), slab_.size(),
-                                             ib::kAllAccess);
-    slot_busy_.assign(cfg_.inline_slots, 0);
-  }
 
   auto key = [this](int from, int to, const char* what) {
     return "win:" + std::to_string(win_id_) + ":" + std::to_string(from) +
@@ -146,16 +138,6 @@ std::uint64_t Window::post_op(OpRecord rec) {
   return wr_id;
 }
 
-int Window::alloc_inline_slot() {
-  for (std::size_t i = 0; i < slot_busy_.size(); ++i) {
-    if (slot_busy_[i] == 0) {
-      slot_busy_[i] = 1;
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 int Window::alloc_notify_slot() {
   for (std::size_t i = 0; i < notify_busy_.size(); ++i) {
     if (notify_busy_[i] == 0) {
@@ -187,7 +169,7 @@ sim::Task<ib::Wc> Window::rma_sync(OpRecord rec) {
       if (progress_) {
         progress_ = false;
         deadline = arm_deadline();
-      } else if (deadline != 0 && sim.now() >= deadline) {
+      } else if (sim.now() >= deadline) {
         sync_wait_id_ = 0;
         throw_dead(target, "window:watchdog:sync");
       }
@@ -232,26 +214,6 @@ sim::Task<void> Window::put(const void* origin, int count, Datatype d,
   }
   ft_entry(target);
   Peer& peer = peers_[static_cast<std::size_t>(target)];
-  if (cfg_.inline_threshold > 0 && len <= cfg_.inline_threshold) {
-    const int slot = alloc_inline_slot();
-    if (slot >= 0) {
-      const std::size_t sb = std::max<std::size_t>(cfg_.inline_threshold, 8);
-      std::byte* stage = slab_.data() + static_cast<std::size_t>(slot) * sb;
-      co_await comm_->engine().ctx().node->copy(stage, origin, len);
-      OpRecord rec;
-      rec.target = target;
-      rec.op = ib::Opcode::kRdmaWrite;
-      rec.local = stage;
-      rec.len = len;
-      rec.remote_addr = peer.raddr + disp;
-      rec.rkey = peer.rkey;
-      rec.lkey = slab_mr_->lkey();
-      rec.inline_slot = slot;
-      ++stats_.inline_puts;
-      post_op(std::move(rec));
-      co_return;
-    }
-  }
   ib::MemoryRegion* mr = co_await cache_->acquire(origin, len);
   OpRecord rec;
   rec.target = target;
@@ -366,7 +328,7 @@ sim::Task<void> Window::accumulate(const void* origin, int count, Datatype d,
         // re-arm (expiry is reserved for a holder that never budges).
         lowner = ctrl_[0];
         ldeadline = arm_deadline();
-      } else if (ldeadline != 0 && lsim.now() >= ldeadline) {
+      } else if (lsim.now() >= ldeadline) {
         throw rdmach::ChannelError(
             target, "accumulate: window RMW lock never released",
             rdmach::ChannelError::kDead);
@@ -411,7 +373,7 @@ sim::Task<void> Window::accumulate(const void* origin, int count, Datatype d,
       owner = ctrl_[1];
       owner_seen = true;
       deadline = arm_deadline();
-    } else if (deadline != 0 && sim.now() >= deadline) {
+    } else if (sim.now() >= deadline) {
       throw rdmach::ChannelError(
           target, "accumulate: window RMW lock never released",
           rdmach::ChannelError::kDead);
@@ -526,7 +488,6 @@ void Window::process_wc(const ib::Wc& wc) {
   Peer& peer = peers_[static_cast<std::size_t>(rec.target)];
   if (wc.status == ib::WcStatus::kSuccess) {
     if (rec.mr != nullptr) release_q_.push_back(rec.mr);
-    if (rec.inline_slot >= 0) slot_busy_[static_cast<std::size_t>(rec.inline_slot)] = 0;
     if (rec.notify_slot >= 0) notify_busy_[static_cast<std::size_t>(rec.notify_slot)] = 0;
     if (peer.outstanding > 0) --peer.outstanding;
     peer.attempts = 0;  // completion progress re-arms the retry budget
@@ -545,15 +506,10 @@ void Window::drain_cq() {
 }
 
 sim::Tick Window::arm_deadline() const {
-  if (cfg_.flush_deadline == 0) return 0;
-  return comm_->engine().ctx().sim().now() + cfg_.flush_deadline;
+  return comm_->engine().ctx().sim().now() + rdmach::kRecoveryEpochDeadline;
 }
 
 sim::Task<void> Window::wait_cq_until(sim::Tick deadline) {
-  if (deadline == 0) {
-    co_await cq_->wait_nonempty();
-    co_return;
-  }
   sim::Simulator& sim = comm_->engine().ctx().sim();
   if (sim.now() >= deadline) co_return;
   if (armed_deadline_ != deadline) {
@@ -603,7 +559,7 @@ sim::Task<void> Window::drain_target(int target) {
     if (progress_) {
       progress_ = false;
       deadline = arm_deadline();
-    } else if (deadline != 0 && sim.now() >= deadline) {
+    } else if (sim.now() >= deadline) {
       throw_dead(target >= 0 ? target : first_outstanding(),
                  "window:watchdog:flush");
     }
@@ -641,11 +597,7 @@ sim::Task<void> Window::recover(int target) {
     throw_dead(target, "window:retry-budget");
   }
 
-  sim::Tick backoff = cfg_.recovery_backoff;
-  for (int i = 1; i < peer.attempts; ++i) {
-    backoff = std::min<sim::Tick>(backoff * 2, cfg_.recovery_backoff_cap);
-  }
-  co_await pctx.sim().delay(backoff);
+  co_await pctx.sim().delay(rdmach::capped_backoff(peer.attempts));
 
   // Tear the QP down, wait until nothing of it can touch memory later,
   // then consume its flushed CQEs so they cannot alias the replay.
@@ -687,9 +639,6 @@ void Window::abandon_target(int target) {
       continue;
     }
     if (it->second.mr != nullptr) release_q_.push_back(it->second.mr);
-    if (it->second.inline_slot >= 0) {
-      slot_busy_[static_cast<std::size_t>(it->second.inline_slot)] = 0;
-    }
     if (it->second.notify_slot >= 0) {
       notify_busy_[static_cast<std::size_t>(it->second.notify_slot)] = 0;
     }

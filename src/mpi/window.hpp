@@ -13,11 +13,7 @@
 //                     control block per rank carries the accumulate lock
 //                     word and the notified-access counters.
 //   * put/get      -- nonblocking RMA; complete at the next flush of the
-//                     target (or fence).  Puts at or below
-//                     WindowConfig::inline_threshold are *inline-eager*:
-//                     the payload is staged into a pre-registered ring at
-//                     post time, so the origin buffer is immediately
-//                     reusable; larger transfers are zero-copy over
+//                     target (or fence).  Every transfer is zero-copy over
 //                     RegCache-registered user memory.
 //   * put_notify   -- put plus an 8-byte remote completion-flag write on
 //                     the same QP: RC in-order delivery makes the flag
@@ -43,14 +39,15 @@
 // retires it.  A flush that observes an error CQE tears the affected QP
 // down (close/quiesce/reset -- the peer binding survives, no re-handshake
 // needed) and replays that target's journal in order under a bounded
-// attempt budget with exponential backoff.  Replay is exact here: a
+// attempt budget with the channels' capped exponential backoff
+// (rdmach::capped_backoff).  Replay is exact here: a
 // killed WQE never reached the responder, and notify flags write absolute
 // sequence numbers.  Budget exhaustion raises ChannelError (kDead) --
 // or, with the channel's ft_detector armed, convicts the target on the
 // obituary board and raises ProcFailedError; subsequent RMA entry paths
 // toward a convicted rank fail fast off the board.  A watchdog deadline
-// bounds every wait, so a flush spanning a fault storm errors instead of
-// hanging.
+// (rdmach::kRecoveryEpochDeadline with no completion progress) bounds every
+// wait, so a flush spanning a fault storm errors instead of hanging.
 #pragma once
 
 #include <map>
@@ -66,27 +63,11 @@
 
 namespace mpi {
 
-/// Per-window knobs.  The defaults keep the historical verbs sequence for
-/// every pre-existing call (inline-eager off), so fence-only users are
-/// trace-bit-identical to the pre-epoch implementation.
+/// Per-window knobs.
 struct WindowConfig {
-  /// Puts of at most this many bytes are copied into the window's
-  /// registered staging ring at post time (origin buffer immediately
-  /// reusable, no RegCache lookup).  0 disables the inline-eager path.
-  std::size_t inline_threshold = 0;
-  /// Staging-ring slots (each inline_threshold bytes, 8 minimum); when
-  /// every slot is in flight the put falls back to the zero-copy path.
-  std::size_t inline_slots = 16;
   /// Consecutive no-progress recovery attempts on one target before the
   /// connection is declared dead (ChannelError / ProcFailedError).
   int recovery_max_attempts = 8;
-  /// Backoff before a recovery attempt; doubles per consecutive attempt.
-  sim::Tick recovery_backoff = sim::usec(20);
-  sim::Tick recovery_backoff_cap = sim::usec(2000);
-  /// Watchdog: virtual-time budget for one drain/lock episode with no
-  /// completion progress; expiry raises ChannelError instead of hanging.
-  /// 0 disables the watchdog.
-  sim::Tick flush_deadline = sim::usec(50'000);
 };
 
 class Window {
@@ -105,8 +86,7 @@ class Window {
   Window& operator=(const Window&) = delete;
 
   /// RDMA-writes `count` elements into target's window at byte
-  /// displacement `disp`.  With the inline-eager path off or the payload
-  /// above the threshold, the origin buffer must stay valid until the op
+  /// displacement `disp`.  The origin buffer must stay valid until the op
   /// completes (flush of that target, or fence).
   sim::Task<void> put(const void* origin, int count, Datatype d, int target,
                       std::size_t disp);
@@ -169,7 +149,6 @@ class Window {
     std::uint64_t gets = 0;
     std::uint64_t atomics = 0;
     std::uint64_t flushes = 0;
-    std::uint64_t inline_puts = 0;    // staged through the inline ring
     std::uint64_t replays = 0;        // journal entries re-posted
     std::uint64_t replayed_bytes = 0;
     std::uint64_t recoveries = 0;     // QP reset cycles completed
@@ -212,7 +191,6 @@ class Window {
     std::uint64_t atomic_arg = 0;
     std::uint64_t atomic_swap = 0;
     ib::MemoryRegion* mr = nullptr;  // RegCache pin, released at retire
-    int inline_slot = -1;            // staging slot, freed at retire
     int notify_slot = -1;            // notify flag source slot, ditto
   };
 
@@ -224,13 +202,12 @@ class Window {
   /// Synchronous RMA with recovery: posts, awaits the CQE, retries through
   /// recover() on error.  Not journalled (nothing outlives the await).
   sim::Task<ib::Wc> rma_sync(OpRecord rec);
-  int alloc_inline_slot();
   int alloc_notify_slot();
 
   // ---- completion / recovery ------------------------------------------------
   void process_wc(const ib::Wc& wc);
   void drain_cq();
-  /// Waits for CQ activity, bounded by `deadline` (0 = unbounded).
+  /// Waits for CQ activity, bounded by `deadline`.
   sim::Task<void> wait_cq_until(sim::Tick deadline);
   /// Drains outstanding ops toward `target` (-1 = every target),
   /// recovering failed QPs as needed; the watchdog bounds each wait.
@@ -280,11 +257,6 @@ class Window {
   std::vector<std::uint64_t> ctrl_;
   ib::MemoryRegion* ctrl_mr_ = nullptr;
   std::vector<char> notify_busy_;
-
-  /// Inline-eager staging ring (registered once at create).
-  std::vector<std::byte> slab_;
-  ib::MemoryRegion* slab_mr_ = nullptr;
-  std::vector<char> slot_busy_;
 
   std::uint64_t wr_seq_ = 0;
   std::map<std::uint64_t, OpRecord> journal_;  // ordered: replay in post order

@@ -37,7 +37,7 @@ Iov locate(std::span<const Iov> iovs, std::size_t offset) {
 
 sim::Task<void> AdaptiveChannel::init() {
   co_await PipelineChannel::init();
-  cache_ = std::make_unique<RegCache>(pd(), cfg_.reg_cache_capacity,
+  cache_ = std::make_unique<RegCache>(pd(), kRegCacheCapacity,
                                       cfg_.use_reg_cache);
   if (cfg_.lazy_connect) co_return;  // extras built on demand, per peer
   pmi::Kvs& kvs = *ctx_->kvs;
@@ -544,7 +544,7 @@ sim::Task<void> AdaptiveChannel::handle_ack(AdaptiveConnection& c,
   // elapsed span includes the CTS handshake, but so does every healthy
   // baseline sample, and a degraded link dwarfs that fixed overhead.
   if (cfg_.health_detector && r.proto == ProtocolSelector::Proto::kWrite &&
-      r.rail >= 0 && r.len * 2 >= cfg_.rndv_read_chunk) {
+      r.rail >= 0 && r.len * 2 >= kRndvReadChunk) {
     note_rail_sample(r.rail, r.len, elapsed);
   }
   if (r.legacy) {
@@ -708,7 +708,7 @@ sim::Task<void> AdaptiveChannel::harvest_chunks(
     const double chunk_usec =
         static_cast<double>(ctx_->sim().now() - ch.start) / sim::usec(1);
     sel_.record_rail(ch.rail, ch.len, chunk_usec);
-    if (cfg_.health_detector && ch.len * 2 >= cfg_.rndv_read_chunk) {
+    if (cfg_.health_detector && ch.len * 2 >= kRndvReadChunk) {
       // Health sample: full-size chunks only -- tail fragments run at a
       // different goodput and would false-trip the suspicion score.
       note_rail_sample(ch.rail, ch.len, chunk_usec);
@@ -808,7 +808,7 @@ sim::Task<void> AdaptiveChannel::progress_inbound(AdaptiveConnection& c,
         AdaptiveConnection::Chunk ch;
         ch.off = r.issued;
         ch.len =
-            std::min({cfg_.rndv_read_chunk, r.len - r.issued, piece.len});
+            std::min({kRndvReadChunk, r.len - r.issued, piece.len});
         ch.qp = q;
         ch.dst = piece.base;
         bool refused = false;

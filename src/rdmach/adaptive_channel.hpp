@@ -16,7 +16,7 @@
 //
 //  * Chunked multi-read pipeline (kRtsRead): the RTS carries {addr, len,
 //    rkey} as in the zero-copy design, but the receiver splits the pull
-//    into rndv_read_chunk-sized reads striped over rndv_read_qps auxiliary
+//    into kRndvReadChunk-sized reads striped over rndv_read_qps auxiliary
 //    QPs, so up to N reads are outstanding despite the per-QP limit.
 //
 //  * The ProtocolSelector starts from static thresholds (eager below
@@ -194,8 +194,7 @@ class AdaptiveChannel : public PipelineChannel {
       : PipelineChannel(ctx, cfg),
         sel_(ProtocolSelector::Config{cfg.zero_copy_threshold,
                                       cfg.rndv_read_threshold,
-                                      cfg.selector_probe_interval,
-                                      cfg.selector_alpha}) {}
+                                      kSelectorProbeInterval}) {}
 
   sim::Task<void> init() override;
   sim::Task<void> finalize() override;

@@ -19,7 +19,7 @@ sim::Task<std::size_t> BasicChannel::put(Connection& conn,
   const std::uint64_t head = c.ctrl.head_master;
   const std::uint64_t tail = checked_tail(c);  // peer-maintained replica
   const std::size_t free_bytes =
-      cfg_.ring_bytes - static_cast<std::size_t>(head - tail);
+      kRingBytes - static_cast<std::size_t>(head - tail);
   const std::size_t n = std::min(total, free_bytes);
   if (n == 0) co_return 0;
 
@@ -32,7 +32,7 @@ sim::Task<std::size_t> BasicChannel::put(Connection& conn,
   //    pointer (conservative ordering; see header comment).  A transport
   //    error recovers and re-posts: the staging copy is intact and the
   //    offsets are unchanged, so the retry is idempotent.
-  const std::size_t R = cfg_.ring_bytes;
+  const std::size_t R = kRingBytes;
   const std::size_t off = static_cast<std::size_t>(head % R);
   const std::size_t first = std::min(n, R - off);
   if (cfg_.integrity_check) {
@@ -123,7 +123,7 @@ std::uint64_t BasicChannel::journal_consumed(const VerbsConnection& c) const {
 std::uint64_t BasicChannel::verify_incoming(VerbsConnection& c) {
   const std::uint64_t h = c.ctrl.head_replica;
   if (h <= c.verified_head) return c.verified_head;
-  const std::size_t R = cfg_.ring_bytes;
+  const std::size_t R = kRingBytes;
   if (h - c.verified_head > R) {
     // A head word lying garbage-high cannot be a real advance (the sender
     // never outruns the ring); NACK without touching the ring.
@@ -170,7 +170,7 @@ sim::Task<void> BasicChannel::replay(VerbsConnection& c,
   // an error CQE, which flags the connection for the next entry hook.
   const std::uint64_t head = c.ctrl.head_master;
   if (head > peer_consumed) {
-    const std::size_t R = cfg_.ring_bytes;
+    const std::size_t R = kRingBytes;
     const std::size_t n = static_cast<std::size_t>(head - peer_consumed);
     const std::size_t off = static_cast<std::size_t>(peer_consumed % R);
     const std::size_t first = std::min(n, R - off);

@@ -146,14 +146,25 @@ std::string RecoverySnapshot::to_string() const {
          " last_nack_epoch=" + std::to_string(last_nack_epoch);
 }
 
+sim::Tick capped_backoff(int attempts) {
+  sim::Tick backoff = kRecoveryBackoff;
+  for (int i = 1; i < attempts && backoff < kRecoveryBackoffCap; ++i) {
+    backoff *= 2;
+  }
+  return std::min(backoff, kRecoveryBackoffCap);
+}
+
 std::unique_ptr<Channel> Channel::create(pmi::Context& ctx,
                                          const ChannelConfig& cfg) {
-  if (cfg.chunk_bytes <= kSlotOverhead ||
-      cfg.ring_bytes % cfg.chunk_bytes != 0 ||
-      cfg.ring_bytes / cfg.chunk_bytes < 2) {
+  if (cfg.chunk_bytes <= kSlotOverhead || kRingBytes % cfg.chunk_bytes != 0 ||
+      kRingBytes / cfg.chunk_bytes < 2) {
     throw std::invalid_argument(
         "channel config: ring must hold >= 2 chunks and chunks must exceed "
         "the slot overhead");
+  }
+  if (cfg.tail_update_slots > kRingBytes / cfg.chunk_bytes) {
+    throw std::invalid_argument(
+        "channel config: tail_update_slots exceeds the ring's slot count");
   }
   switch (cfg.design) {
     case Design::kShm:

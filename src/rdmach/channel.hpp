@@ -96,24 +96,70 @@ enum class RailPolicy {
   kRoundRobin,  // strict rotation over live rails (naive baseline)
 };
 
+// ---- fixed channel parameters ----------------------------------------------
+// Parameters with one value in use.  ChannelConfig below holds only the
+// knobs some test or bench runs off their defaults.
+
+/// Shared ring buffer per connection direction (also the staging size).
+/// ChannelConfig::chunk_bytes divides it into slots.
+inline constexpr std::size_t kRingBytes = 128 * 1024;
+/// CPU cost charged per put/get invocation (channel bookkeeping).
+inline constexpr sim::Tick kPerCallOverhead = sim::usec(0.05);
+/// Pin-down capacity of every registration cache (section 5): the
+/// channels' zero-copy caches and the one-sided windows'.
+inline constexpr std::size_t kRegCacheCapacity = 64u << 20;
+/// Recovery backoff before the first re-handshake; it doubles per
+/// consecutive no-progress attempt up to kRecoveryBackoffCap (see
+/// capped_backoff).  Shared by the channels and the one-sided windows.
+inline constexpr sim::Tick kRecoveryBackoff = sim::usec(20);
+inline constexpr sim::Tick kRecoveryBackoffCap = sim::usec(2000);
+/// Default recovery watchdog budget (ChannelConfig::recovery_epoch_deadline)
+/// and the one-sided windows' fixed flush/lock watchdog.
+inline constexpr sim::Tick kRecoveryEpochDeadline = sim::usec(50'000);
+/// Gray-failure health monitor (health_detector): EWMA weight of new
+/// per-rail goodput samples.
+inline constexpr double kHealthAlpha = 0.2;
+/// Accrued suspicion units that trip quarantine.
+inline constexpr int kHealthSuspicionTrip = 3;
+/// Minimum samples on a rail before suspicion can accrue (EWMA warmup).
+inline constexpr int kHealthWarmup = 8;
+/// A probe within this factor of the rail's pre-degrade goodput EWMA
+/// counts as healthy.
+inline constexpr double kHealthReinstateFactor = 0.5;
+/// Consecutive healthy probes required to reinstate a quarantined rail.
+inline constexpr int kHealthReinstateProbes = 2;
+/// Chunk size of the adaptive design's multi-read pipeline; one read is
+/// outstanding per aux QP (the HCA's one-outstanding-read limit), so a
+/// large pull becomes ceil(len / chunk) reads striped over the aux QPs.
+inline constexpr std::size_t kRndvReadChunk = 128 * 1024;
+/// Every Nth rendezvous in a size bucket, the adaptive design's selector
+/// probes the protocol with fewer samples (deterministic exploration).
+inline constexpr int kSelectorProbeInterval = 32;
+/// EWMA weight of new goodput observations in the protocol selector.
+inline constexpr double kSelectorAlpha = 0.3;
+
+/// Recovery backoff before consecutive attempt `attempts` (1-based):
+/// kRecoveryBackoff doubled per earlier attempt, capped at
+/// kRecoveryBackoffCap.
+sim::Tick capped_backoff(int attempts);
+
 struct ChannelConfig {
   Design design = Design::kZeroCopy;
-  /// Shared ring buffer per connection direction (also the staging size).
-  std::size_t ring_bytes = 128 * 1024;
-  /// Fixed chunk size the ring is divided into (Figure 9; paper picks 16K).
+  /// Fixed chunk size the kRingBytes ring is divided into (Figure 9; paper
+  /// picks 16K).
   std::size_t chunk_bytes = 16 * 1024;
   /// Buffers of at least this size use the zero-copy path (ZeroCopy only).
   /// Below it, the per-message RDMA-read round trip would cost more than
   /// the pipelined copies save.
   std::size_t zero_copy_threshold = 32 * 1024;
   /// Send an explicit tail update after this many consumed slots with no
-  /// reverse traffic to piggyback on.  0 = half the slot count.
+  /// reverse traffic to piggyback on.  0 = half the slot count.  At most
+  /// the slot count (kRingBytes / chunk_bytes): a one-way sender stalls
+  /// once every slot is consumed and unacknowledged, so a larger threshold
+  /// would never fire and the stream would deadlock.
   std::size_t tail_update_slots = 0;
-  /// CPU cost charged per put/get invocation (channel bookkeeping).
-  sim::Tick per_call_overhead = sim::usec(0.05);
   /// Registration cache (section 5) for zero-copy user buffers.
   bool use_reg_cache = true;
-  std::size_t reg_cache_capacity = 64u << 20;
 
   // ---- end-to-end integrity -----------------------------------------------
   /// Adds a CRC32C to every ring slot header and rendezvous completion and
@@ -131,11 +177,8 @@ struct ChannelConfig {
   /// replay) a connection may make without either direction's consumed
   /// watermark advancing before the connection is declared dead and put/get
   /// raise ChannelError.  Attempts that make progress reset the budget.
+  /// Each attempt first waits capped_backoff(attempt).
   int recovery_max_attempts = 8;
-  /// Backoff before the first re-handshake; doubles per consecutive attempt.
-  sim::Tick recovery_backoff = sim::usec(20);
-  /// Ceiling for the exponential backoff.
-  sim::Tick recovery_backoff_cap = sim::usec(2000);
   /// Recovery watchdog: virtual-time budget for one recovery *episode* (a
   /// run of back-to-back attempts with no watermark progress).  An episode
   /// still unfinished at its deadline -- spinning re-handshakes, a replay
@@ -146,7 +189,7 @@ struct ChannelConfig {
   /// 0 disables the watchdog (attempt budget only).  Sized so the attempt
   /// budget gets first say on the pure retry-spin path (default budget *
   /// capped backoff ~= 16 ms << 50 ms).
-  sim::Tick recovery_epoch_deadline = sim::usec(50'000);
+  sim::Tick recovery_epoch_deadline = kRecoveryEpochDeadline;
 
   // ---- process-fault detection --------------------------------------------
   /// Failure detector for *permanent* rank death: when the recovery
@@ -164,34 +207,24 @@ struct ChannelConfig {
 
   // ---- gray-failure health monitor ----------------------------------------
   /// Accrual-style per-rail health detector: completion-latency samples feed
-  /// a per-rail goodput EWMA + variance, deviant samples accrue a suspicion
-  /// score, and a rail whose suspicion crosses `health_suspicion_trip` is
-  /// proactively *quarantined* -- pulled from the adaptive stripe set and
-  /// kept on probation with periodic single-chunk probes -- before any
-  /// watchdog conviction.  A degraded-then-healed rail is reinstated without
-  /// a reconnect once probes recover.  Off by default: detection falls back
-  /// to the fixed recovery_epoch_deadline alone, and armed-but-fault-free
-  /// traces stay bit-identical (the monitor consumes no virtual time and
-  /// draws no randomness either way).
+  /// a per-rail goodput EWMA (weight kHealthAlpha) + variance, deviant
+  /// samples accrue a suspicion score, and a rail whose suspicion reaches
+  /// kHealthSuspicionTrip is proactively *quarantined* -- pulled from the
+  /// adaptive stripe set and kept on probation with periodic single-chunk
+  /// probes -- before any watchdog conviction.  A degraded-then-healed rail
+  /// is reinstated without a reconnect once kHealthReinstateProbes probes
+  /// in a row recover.  Off by default: detection falls back to the fixed
+  /// recovery_epoch_deadline alone, and armed-but-fault-free traces stay
+  /// bit-identical (the monitor consumes no virtual time and draws no
+  /// randomness either way).
   bool health_detector = false;
-  /// EWMA weight for new per-rail goodput samples.
-  double health_alpha = 0.2;
   /// A sample slower than mean + this many sigmas is "suspicious" and
   /// accrues one unit of suspicion; healthy samples decay the score.
   double health_soft_sigma = 3.0;
-  /// Accrued suspicion units that trip quarantine.
-  int health_suspicion_trip = 3;
-  /// Minimum samples on a rail before suspicion can accrue (EWMA warmup).
-  int health_warmup = 8;
   /// Probation: one single-chunk probe is allowed through a quarantined
   /// rail every this many scheduling decisions that would otherwise have
   /// skipped it.
   int health_probe_interval = 16;
-  /// A probe within this factor of the rail's pre-degrade goodput EWMA
-  /// counts as healthy; enough healthy probes reinstate the rail.
-  double health_reinstate_factor = 0.5;
-  /// Consecutive healthy probes required to reinstate.
-  int health_reinstate_probes = 2;
 
   // ---- adaptive rendezvous engine (Design::kAdaptive) ---------------------
   /// Static starting point for the write/read crossover: rendezvous of at
@@ -200,19 +233,10 @@ struct ChannelConfig {
   /// goodput accumulates.  (The eager/rendezvous boundary is
   /// zero_copy_threshold, as in the zero-copy design.)
   std::size_t rndv_read_threshold = 256 * 1024;
-  /// Chunk size of the multi-read pipeline; one read is outstanding per aux
-  /// QP (the HCA's one-outstanding-read limit), so a large pull becomes
-  /// ceil(len / chunk) reads striped over the aux QPs.
-  std::size_t rndv_read_chunk = 128 * 1024;
-  /// Auxiliary QP pairs per connection for the read pipeline.  0 degrades
-  /// to single-read-at-a-time on the main QP (the zero-copy behavior).
+  /// Auxiliary QP pairs per connection for the kRndvReadChunk read
+  /// pipeline.  0 degrades to single-read-at-a-time on the main QP (the
+  /// zero-copy behavior).
   int rndv_read_qps = 4;
-  /// Every Nth rendezvous in a size bucket probes the protocol with fewer
-  /// samples instead of the current best (deterministic exploration).
-  /// 0 disables probing (pure static thresholds).
-  int selector_probe_interval = 32;
-  /// EWMA weight for new goodput observations in the selector.
-  double selector_alpha = 0.3;
 
   // ---- multi-rail striping (nodes with >1 HCA/port) -----------------------
   /// How rendezvous chunks are spread over the node's rails.  kWeighted
@@ -237,7 +261,7 @@ struct ChannelConfig {
   /// refuses eviction until drained.
   int qp_budget = 0;
   /// SRQ-style shared receive pool: receive rings come from a per-rank pool
-  /// of this many ring_bytes-sized leases (one MR for the whole pool)
+  /// of this many kRingBytes-sized leases (one MR for the whole pool)
   /// instead of a dedicated allocation per peer.  Pool exhaustion maps onto
   /// the credit-denial backpressure path (credit_stalls), not deadlock.
   /// 0 = dedicated per-peer rings (the paper's layout).

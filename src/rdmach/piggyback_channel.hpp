@@ -110,7 +110,7 @@ class PiggybackChannel : public VerbsChannelBase {
                              std::span<const Iov> iovs) override;
 
   std::size_t slot_count() const noexcept {
-    return cfg_.ring_bytes / cfg_.chunk_bytes;
+    return kRingBytes / cfg_.chunk_bytes;
   }
   std::size_t slot_capacity() const noexcept {
     return cfg_.chunk_bytes - kSlotOverhead;

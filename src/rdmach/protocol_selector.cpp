@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "rdmach/channel.hpp"
+
 namespace rdmach {
 
 int ProtocolSelector::bucket(std::size_t len) {
@@ -47,7 +49,8 @@ void ProtocolSelector::record(Proto p, std::size_t len, std::uint64_t bytes,
   const double service =
       elapsed_usec / static_cast<double>(concurrency == 0 ? 1 : concurrency);
   const double mbps = static_cast<double>(bytes) / service;  // B/us==MB/s
-  a.mbps = a.n == 0 ? mbps : (1.0 - cfg_.alpha) * a.mbps + cfg_.alpha * mbps;
+  a.mbps = a.n == 0 ? mbps
+                    : (1.0 - kSelectorAlpha) * a.mbps + kSelectorAlpha * mbps;
   ++a.n;
 }
 
@@ -73,7 +76,8 @@ void ProtocolSelector::record_rail(int rail, std::uint64_t bytes,
   }
   Arm& a = rails_[static_cast<std::size_t>(rail)];
   const double mbps = static_cast<double>(bytes) / elapsed_usec;  // B/us==MB/s
-  a.mbps = a.n == 0 ? mbps : (1.0 - cfg_.alpha) * a.mbps + cfg_.alpha * mbps;
+  a.mbps = a.n == 0 ? mbps
+                    : (1.0 - kSelectorAlpha) * a.mbps + kSelectorAlpha * mbps;
   ++a.n;
 }
 

@@ -28,7 +28,6 @@ class ProtocolSelector {
     std::size_t eager_max = 32 * 1024;      // below: eager
     std::size_t read_min = 64 * 1024;       // static write/read boundary
     int probe_interval = 32;                // 0 = never probe
-    double alpha = 0.3;                     // EWMA weight of new samples
   };
 
   explicit ProtocolSelector(const Config& cfg) : cfg_(cfg) {}

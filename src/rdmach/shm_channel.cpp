@@ -18,7 +18,7 @@ sim::Task<void> ShmChannel::init() {
     auto conn = std::make_unique<ShmConnection>();
     conn->peer = p;
     conn->in = std::make_unique<Ring>();
-    conn->in->buf.assign(cfg_.ring_bytes, std::byte{0});
+    conn->in->buf.assign(kRingBytes, std::byte{0});
     kvs.put_u64(key(rank(), p, "ring"),
                 reinterpret_cast<std::uint64_t>(conn->in.get()));
     conns_[static_cast<std::size_t>(p)] = std::move(conn);
@@ -46,7 +46,7 @@ Connection& ShmChannel::connection(int peer) {
 sim::Task<std::size_t> ShmChannel::put(Connection& conn,
                                        std::span<const ConstIov> iovs) {
   auto& c = static_cast<ShmConnection&>(conn);
-  co_await ctx_->node->compute(cfg_.per_call_overhead);
+  co_await ctx_->node->compute(kPerCallOverhead);
   Ring& r = *c.out;
   const std::size_t R = r.buf.size();
   const std::size_t total = total_length(iovs);
@@ -78,7 +78,7 @@ sim::Task<std::size_t> ShmChannel::put(Connection& conn,
 sim::Task<std::size_t> ShmChannel::get(Connection& conn,
                                        std::span<const Iov> iovs) {
   auto& c = static_cast<ShmConnection&>(conn);
-  co_await ctx_->node->compute(cfg_.per_call_overhead);
+  co_await ctx_->node->compute(kPerCallOverhead);
   Ring& r = *c.in;
   const std::size_t R = r.buf.size();
   const std::size_t want = total_length(iovs);

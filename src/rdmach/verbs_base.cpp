@@ -69,7 +69,7 @@ sim::Task<void> VerbsChannelBase::init() {
     // shared receive pool, when configured, is allocated and registered
     // once here: one rkey covers every lease it will ever hand out.
     if (cfg_.srq_pool_rings > 0) {
-      srq_pool_.reset(cfg_.srq_pool_rings, cfg_.ring_bytes);
+      srq_pool_.reset(cfg_.srq_pool_rings, kRingBytes);
       srq_mr_ = co_await pd_->register_memory(
           srq_pool_.base(), srq_pool_.bytes(), ib::kAllAccess);
     }
@@ -94,9 +94,9 @@ sim::Task<void> VerbsChannelBase::init() {
     auto conn = make_connection();
     conn->peer = p;
     conn->rail_failed.assign(static_cast<std::size_t>(num_rails_), 0);
-    conn->recv_ring.assign(cfg_.ring_bytes, std::byte{0});
+    conn->recv_ring.assign(kRingBytes, std::byte{0});
     conn->rx = conn->recv_ring.data();
-    conn->staging.assign(cfg_.ring_bytes, std::byte{0});
+    conn->staging.assign(kRingBytes, std::byte{0});
     conn->ring_mr = co_await pd_->register_memory(
         conn->recv_ring.data(), conn->recv_ring.size(), ib::kAllAccess);
     conn->staging_mr = co_await pd_->register_memory(
@@ -402,8 +402,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
   if (h.quarantined) {
     // Probation: this sample is a probe's verdict.  Healthy = within the
     // reinstate factor of the pre-quarantine baseline goodput.
-    const bool healthy =
-        mbps >= cfg_.health_reinstate_factor * h.baseline;
+    const bool healthy = mbps >= kHealthReinstateFactor * h.baseline;
     if (h.probe_virgin) {
       h.probe_virgin = false;
       // The very first probe already measuring healthy means the detector
@@ -414,7 +413,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
       h.healthy_probes = 0;
       return;
     }
-    if (++h.healthy_probes < cfg_.health_reinstate_probes) return;
+    if (++h.healthy_probes < kHealthReinstateProbes) return;
     // Reinstate: rejoin the stripe set without a reconnect.  The EWMA
     // restarts its warmup from the probe's reading -- the healed rail's
     // goodput, not the degraded history.
@@ -433,14 +432,14 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
   // Suspicion test against the EWMA *before* folding the sample in, with
   // the deviation floored at 10 % of the mean so a near-zero variance
   // cannot hair-trigger on ordinary jitter.
-  if (h.samples >= static_cast<std::uint64_t>(cfg_.health_warmup)) {
+  if (h.samples >= static_cast<std::uint64_t>(kHealthWarmup)) {
     const double sigma =
         std::max(std::sqrt(h.var), 0.1 * h.mean);
     if (mbps < h.mean - cfg_.health_soft_sigma * sigma) {
       // Suspicious samples accrue score and are NOT folded into the EWMA:
       // a degraded rail must not drag its own baseline down until the
       // degrade looks normal.
-      if (++h.suspicion == cfg_.health_suspicion_trip) {
+      if (++h.suspicion == kHealthSuspicionTrip) {
         ++stats_.suspicion_trips;
         // Never quarantine the last usable rail -- a fully-degraded node
         // still needs a stripe set of one.
@@ -470,7 +469,7 @@ void VerbsChannelBase::note_rail_sample(int rail, std::uint64_t bytes,
     h.mean = mbps;
     h.var = 0.0;
   } else {
-    const double a = cfg_.health_alpha;
+    const double a = kHealthAlpha;
     const double d = mbps - h.mean;
     h.mean += a * d;
     h.var = (1.0 - a) * (h.var + a * d * d);
@@ -711,7 +710,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
       c.rec.deadline = now + cfg_.recovery_epoch_deadline;
     } else if (now >= c.rec.deadline &&
                (!cfg_.health_detector ||
-                c.rec.suspicion >= cfg_.health_suspicion_trip)) {
+                c.rec.suspicion >= kHealthSuspicionTrip)) {
       // With the health detector on, the deadline alone does not convict:
       // the episode must also have accrued enough suspicion (attempts with
       // no completions decaying the score) -- the accrual-detector gate.
@@ -746,12 +745,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   }
 
   // Bounded exponential backoff before touching the wire again.
-  sim::Tick backoff = cfg_.recovery_backoff;
-  for (int i = 1; i < c.rec.attempts &&
-                  backoff < cfg_.recovery_backoff_cap; ++i) {
-    backoff *= 2;
-  }
-  co_await sim.delay(std::min(backoff, cfg_.recovery_backoff_cap));
+  co_await sim.delay(capped_backoff(c.rec.attempts));
 
   // Tear down: error the old QP, wait until nothing it initiated can still
   // land in peer memory (the precondition for trusting replayed state),
@@ -905,12 +899,7 @@ sim::Task<void> VerbsChannelBase::lz_pace(VerbsConnection& c,
                            stage + ")",
                        ChannelError::kDead, make_snapshot(c, stage));
   }
-  sim::Tick backoff = cfg_.recovery_backoff;
-  for (int i = 1;
-       i < c.rec.attempts && backoff < cfg_.recovery_backoff_cap; ++i) {
-    backoff *= 2;
-  }
-  c.lz_next_attempt = sim.now() + std::min(backoff, cfg_.recovery_backoff_cap);
+  c.lz_next_attempt = sim.now() + capped_backoff(c.rec.attempts);
   // Guaranteed self-wakeup at the next pacing step: a sender whose put()
   // keeps returning 0 may have no other future event, and a parked progress
   // loop with an empty queue would otherwise be a DeadlockError.
@@ -939,14 +928,14 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
     ring_addr = reinterpret_cast<std::uint64_t>(lease);
     ring_rkey = srq_mr_->rkey();
   } else {
-    c.recv_ring.assign(cfg_.ring_bytes, std::byte{0});
+    c.recv_ring.assign(kRingBytes, std::byte{0});
     c.rx = c.recv_ring.data();
-    c.ring_mr = co_await pd_->register_memory(c.rx, cfg_.ring_bytes,
+    c.ring_mr = co_await pd_->register_memory(c.rx, kRingBytes,
                                               ib::kAllAccess);
     ring_addr = reinterpret_cast<std::uint64_t>(c.rx);
     ring_rkey = c.ring_mr->rkey();
   }
-  c.staging.assign(cfg_.ring_bytes, std::byte{0});
+  c.staging.assign(kRingBytes, std::byte{0});
   c.staging_mr = co_await pd_->register_memory(c.staging.data(),
                                                c.staging.size(),
                                                ib::kAllAccess);
@@ -1341,7 +1330,7 @@ sim::Task<void> VerbsChannelBase::copy_in(VerbsConnection& c,
                                           std::span<const ConstIov> iovs,
                                           std::size_t iov_off, std::size_t n,
                                           std::size_t ws) {
-  const std::size_t R = cfg_.ring_bytes;
+  const std::size_t R = kRingBytes;
   std::size_t iv = 0;
   std::size_t skipped = 0;
   // Locate the iov containing iov_off.
@@ -1370,7 +1359,7 @@ sim::Task<void> VerbsChannelBase::copy_out(VerbsConnection& c,
                                            std::span<const Iov> iovs,
                                            std::size_t iov_off, std::size_t n,
                                            std::size_t ws) {
-  const std::size_t R = cfg_.ring_bytes;
+  const std::size_t R = kRingBytes;
   std::size_t iv = 0;
   std::size_t skipped = 0;
   while (iv < iovs.size() && skipped + iovs[iv].len <= iov_off) {

@@ -114,7 +114,7 @@ class VerbsConnection : public Connection {
     /// one unit, every successful completion observed for this connection
     /// decays one.  With the health detector on, a watchdog conviction
     /// additionally requires the score to have reached
-    /// health_suspicion_trip -- a slow-but-alive peer whose completions
+    /// kHealthSuspicionTrip -- a slow-but-alive peer whose completions
     /// keep trickling in accrues suspicion gradually instead of
     /// binary-tripping at the fixed deadline.  Unused (stays 0) with the
     /// detector off.
@@ -266,7 +266,7 @@ class VerbsChannelBase : public Channel {
       return false;
     }
     if (cfg_.health_detector &&
-        c.rec.suspicion < cfg_.health_suspicion_trip) {
+        c.rec.suspicion < kHealthSuspicionTrip) {
       return false;
     }
     return true;
@@ -470,7 +470,7 @@ class VerbsChannelBase : public Channel {
   /// cost accumulated since the last coroutine point first.
   sim::Task<void> call_overhead() {
     if (pending_crc_bytes_ > 0) co_await flush_crc_charge();
-    co_await node().compute(cfg_.per_call_overhead);
+    co_await node().compute(kPerCallOverhead);
   }
 
   // ---- end-to-end integrity ----------------------------------------------

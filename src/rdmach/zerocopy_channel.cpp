@@ -9,7 +9,7 @@ namespace rdmach {
 
 sim::Task<void> ZeroCopyChannel::init() {
   co_await PipelineChannel::init();
-  cache_ = std::make_unique<RegCache>(pd(), cfg_.reg_cache_capacity,
+  cache_ = std::make_unique<RegCache>(pd(), kRegCacheCapacity,
                                       cfg_.use_reg_cache);
 }
 

@@ -176,7 +176,7 @@ TEST_P(DesignTest, BidirectionalTrafficDoesNotDeadlock) {
 
 TEST_P(DesignTest, PutBeyondRingCapacityCompletesPartially) {
   Duo duo(GetParam());
-  const std::size_t kBig = duo.cfg.ring_bytes * 3;
+  const std::size_t kBig = kRingBytes * 3;
   auto msg = pattern(kBig, 31);
   std::vector<std::byte> got(kBig);
   std::size_t first_put = 0;
@@ -252,6 +252,55 @@ TEST(PiggybackDesign, OneRdmaWritePerSmallMessagePlusRareTailUpdates) {
   // slots and a threshold of 4, at most kMsgs/4 extra writes.
   EXPECT_GE(writes, static_cast<std::size_t>(kMsgs));
   EXPECT_LE(writes, static_cast<std::size_t>(kMsgs + kMsgs / 4 + 2));
+}
+
+TEST(ChannelConfig, RejectsUnreachableTailUpdateThreshold) {
+  // 16K chunks divide the kRingBytes ring into 8 slots.  A one-way stream
+  // stalls once all 8 are consumed and unacknowledged, so a tail-update
+  // threshold of 9 would never fire and both ranks would block forever.
+  sim::Simulator sim;
+  ib::Fabric fabric(sim);
+  pmi::Job job(fabric, 1);
+  job.launch([](pmi::Context& ctx) -> sim::Task<void> {
+    ChannelConfig cfg;
+    cfg.design = Design::kPiggyback;
+    cfg.tail_update_slots = 9;
+    EXPECT_THROW(Channel::create(ctx, cfg), std::invalid_argument);
+    cfg.tail_update_slots = 8;
+    EXPECT_NO_THROW(Channel::create(ctx, cfg));
+    // The ring/chunk rules: chunks must divide the ring into >= 2 slots
+    // and exceed the slot overhead.
+    cfg.tail_update_slots = 0;
+    for (const std::size_t bad : {std::size_t{48 * 1024}, kRingBytes,
+                                  kSlotOverhead}) {
+      cfg.chunk_bytes = bad;
+      EXPECT_THROW(Channel::create(ctx, cfg), std::invalid_argument) << bad;
+    }
+    co_return;
+  });
+  sim.run();
+
+  // The largest accepted threshold still streams one way.
+  ChannelConfig cfg;
+  cfg.tail_update_slots = 8;
+  Duo duo(Design::kPiggyback, cfg);
+  constexpr int kMsgs = 32;
+  int received = 0;
+  duo.run(
+      [&](Channel& ch, Connection& c) -> sim::Task<void> {
+        std::vector<std::byte> m(256);
+        for (int i = 0; i < kMsgs; ++i) {
+          co_await send_all(ch, c, m.data(), m.size());
+        }
+      },
+      [&](Channel& ch, Connection& c) -> sim::Task<void> {
+        std::vector<std::byte> b(256);
+        for (int i = 0; i < kMsgs; ++i) {
+          co_await recv_all(ch, c, b.data(), b.size());
+          ++received;
+        }
+      });
+  EXPECT_EQ(received, kMsgs);
 }
 
 TEST(ZeroCopyDesign, LargeMessageUsesRdmaReadWithoutPayloadCopies) {
@@ -446,8 +495,7 @@ TEST(AdaptiveDesign, ReadQpsZeroDegradesToSingleReadAtATime) {
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolSelector, StaticThresholdsBeforeAnySamples) {
-  ProtocolSelector sel(ProtocolSelector::Config{32 * 1024, 64 * 1024, 32,
-                                                0.3});
+  ProtocolSelector sel(ProtocolSelector::Config{32 * 1024, 64 * 1024, 32});
   EXPECT_EQ(sel.decision(16 * 1024), ProtocolSelector::Proto::kEager);
   EXPECT_EQ(sel.decision(32 * 1024), ProtocolSelector::Proto::kWrite);
   EXPECT_EQ(sel.decision(48 * 1024), ProtocolSelector::Proto::kWrite);
@@ -457,8 +505,7 @@ TEST(ProtocolSelector, StaticThresholdsBeforeAnySamples) {
 }
 
 TEST(ProtocolSelector, LearnsCrossoverFromSyntheticGoodput) {
-  ProtocolSelector sel(ProtocolSelector::Config{32 * 1024, 64 * 1024, 32,
-                                                0.3});
+  ProtocolSelector sel(ProtocolSelector::Config{32 * 1024, 64 * 1024, 32});
   // Synthetic history: at 96K (the 64K-128K bucket) the write path moves
   // 96K in 100us (960 MB/s) while reads crawl at 96K/200us.  The learned
   // decision must flip that bucket to write, moving the crossover past it.
@@ -483,7 +530,7 @@ TEST(ProtocolSelector, LearnsCrossoverFromSyntheticGoodput) {
 
 TEST(ProtocolSelector, ProbesUnderSampledArmOnSchedule) {
   ProtocolSelector sel(ProtocolSelector::Config{32 * 1024, 64 * 1024,
-                                                /*probe_interval=*/4, 0.3});
+                                                /*probe_interval=*/4});
   // Decisions 1-3 follow the static boundary (read at 128K); the 4th is a
   // probe of the arm with fewer samples -- the write path.
   EXPECT_EQ(sel.choose(128 * 1024), ProtocolSelector::Proto::kRead);
@@ -497,8 +544,7 @@ TEST(ProtocolSelector, ProbesUnderSampledArmOnSchedule) {
   EXPECT_EQ(sel.choose(128 * 1024), ProtocolSelector::Proto::kRead);
   EXPECT_EQ(sel.choose(128 * 1024), ProtocolSelector::Proto::kRead);  // probe
   // probe_interval = 0 disables probing entirely.
-  ProtocolSelector fixed(ProtocolSelector::Config{32 * 1024, 64 * 1024, 0,
-                                                  0.3});
+  ProtocolSelector fixed(ProtocolSelector::Config{32 * 1024, 64 * 1024, 0});
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(fixed.choose(128 * 1024), ProtocolSelector::Proto::kRead);
   }

@@ -1,7 +1,6 @@
 // Cross-cutting coverage: NAS class W on 8 ranks, one-sided windows over
-// subcommunicators, RDMA collectives on split communicators, and the SDP
-// stream layer over the basic channel design (every component on a
-// non-default configuration).
+// subcommunicators, and RDMA collectives on split communicators (every
+// component on a non-default configuration).
 #include <gtest/gtest.h>
 
 #include "ib/fabric.hpp"
@@ -10,7 +9,6 @@
 #include "mpi/window.hpp"
 #include "nas/nas.hpp"
 #include "pmi/pmi.hpp"
-#include "sdp/sdp.hpp"
 
 namespace {
 
@@ -85,30 +83,6 @@ TEST(Coverage, RdmaCollOnSplitCommunicator) {
     co_await coll->barrier();
     co_await world.barrier();
     co_await rt.finalize();
-  });
-  sim.run();
-}
-
-TEST(Coverage, SdpStreamsOverBasicDesign) {
-  // The socket layer is design-agnostic: run it over the slowest channel.
-  sim::Simulator sim;
-  ib::Fabric fabric(sim);
-  pmi::Job job(fabric, 2);
-  rdmach::ChannelConfig cfg;
-  cfg.design = rdmach::Design::kBasic;
-  job.launch([cfg](pmi::Context& ctx) -> sim::Task<void> {
-    auto ep = co_await sdp::Endpoint::create(ctx, cfg);
-    if (ep->rank() == 0) {
-      std::vector<int> data(5000);
-      for (int i = 0; i < 5000; ++i) data[static_cast<std::size_t>(i)] = i;
-      co_await ep->stream(1).send(data.data(), data.size() * 4);
-    } else {
-      std::vector<int> data(5000, -1);
-      co_await ep->stream(0).recv_exact(data.data(), data.size() * 4);
-      EXPECT_EQ(data[4999], 4999);
-      EXPECT_EQ(data[0], 0);
-    }
-    co_await ep->close();
   });
   sim.run();
 }

@@ -363,7 +363,6 @@ TEST(GrayFailure, SuspicionQuarantinesGrayRailThenReinstates) {
   rdmach::ChannelConfig cfg;
   cfg.health_detector = true;
   cfg.health_probe_interval = 2;   // probe often: the window is op-indexed
-  cfg.health_reinstate_probes = 2;
   GrayResult rr = run_gray(rdmach::Design::kAdaptive, gray_rails(2), traffic,
                            &plan, cfg);
   EXPECT_EQ(rr.errors, 0);
