@@ -10,7 +10,8 @@ namespace mpi {
 Engine::Engine(pmi::Context& ctx, const ch3::StackConfig& cfg)
     : ctx_(&ctx),
       ch3_(ch3::make_channel(ctx, cfg)),
-      ft_armed_(cfg.channel.ft_detector) {}
+      ft_armed_(cfg.channel.ft_detector),
+      recovery_max_attempts_(cfg.channel.recovery_max_attempts) {}
 
 Engine::~Engine() = default;
 

@@ -70,6 +70,9 @@ class Engine final : public ch3::EngineHooks {
   /// Off: every FT hook below is a no-op and behavior is bit-identical to
   /// the pre-FT engine.
   bool ft_armed() const noexcept { return ft_armed_; }
+  /// The stack's retry budget (channel config recovery_max_attempts); the
+  /// one-sided windows spend the same budget per target.
+  int recovery_max_attempts() const noexcept { return recovery_max_attempts_; }
   /// Registers a communicator's comm-rank -> world-rank map under both of
   /// its context ids, so the fault sweep can attribute posted receives
   /// (keyed by comm rank) to obituaries (keyed by world rank).  `group`
@@ -199,6 +202,7 @@ class Engine final : public ch3::EngineHooks {
 
   // ---- process-fault tolerance --------------------------------------------
   bool ft_armed_ = false;
+  int recovery_max_attempts_;
   /// Last observed obituary-board + revocation-list generation; the sweep
   /// only walks the queues when it moves.
   std::uint64_t ft_gen_seen_ = 0;

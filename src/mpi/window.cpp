@@ -12,31 +12,15 @@
 
 namespace mpi {
 
-Window::Window(Communicator& comm, void* base, std::size_t bytes,
-               const WindowConfig& cfg)
-    : comm_(&comm),
-      base_(static_cast<std::byte*>(base)),
-      bytes_(bytes),
-      cfg_(cfg) {}
+Window::Window(Communicator& comm, void* base, std::size_t bytes)
+    : comm_(&comm), base_(static_cast<std::byte*>(base)), bytes_(bytes) {}
 
 Window::~Window() = default;
 
 sim::Task<std::unique_ptr<Window>> Window::create(Communicator& comm,
                                                   void* base,
                                                   std::size_t bytes) {
-  // Not a forwarding call: the config must be owned by this frame (a
-  // temporary passed by reference would dangle across the suspension).
-  auto win =
-      std::unique_ptr<Window>(new Window(comm, base, bytes, WindowConfig{}));
-  co_await win->init();
-  co_return win;
-}
-
-sim::Task<std::unique_ptr<Window>> Window::create(Communicator& comm,
-                                                  void* base,
-                                                  std::size_t bytes,
-                                                  const WindowConfig& cfg) {
-  auto win = std::unique_ptr<Window>(new Window(comm, base, bytes, cfg));
+  auto win = std::unique_ptr<Window>(new Window(comm, base, bytes));
   co_await win->init();
   co_return win;
 }
@@ -150,7 +134,6 @@ int Window::alloc_notify_slot() {
 
 sim::Task<ib::Wc> Window::rma_sync(OpRecord rec) {
   const int target = rec.target;
-  sim::Simulator& sim = comm_->engine().ctx().sim();
   for (;;) {
     const std::uint64_t id = ++wr_seq_;
     sync_wait_id_ = id;
@@ -166,14 +149,7 @@ sim::Task<ib::Wc> Window::rma_sync(OpRecord rec) {
         sync_wc_.reset();
         break;
       }
-      if (progress_) {
-        progress_ = false;
-        deadline = arm_deadline();
-      } else if (sim.now() >= deadline) {
-        sync_wait_id_ = 0;
-        throw_dead(target, "window:watchdog:sync");
-      }
-      co_await wait_cq_until(deadline);
+      co_await watchdog_wait(deadline, target, "window:watchdog:sync");
     }
     sync_wait_id_ = 0;
     if (got->status == ib::WcStatus::kSuccess) {
@@ -509,8 +485,16 @@ sim::Tick Window::arm_deadline() const {
   return comm_->engine().ctx().sim().now() + rdmach::kRecoveryEpochDeadline;
 }
 
-sim::Task<void> Window::wait_cq_until(sim::Tick deadline) {
+sim::Task<void> Window::watchdog_wait(sim::Tick& deadline, int target,
+                                      const char* stage) {
   sim::Simulator& sim = comm_->engine().ctx().sim();
+  if (progress_) {
+    progress_ = false;
+    deadline = arm_deadline();
+  } else if (sim.now() >= deadline) {
+    sync_wait_id_ = 0;  // no rma_sync rendezvous outlives the give-up
+    throw_dead(target, stage);
+  }
   if (sim.now() >= deadline) co_return;
   if (armed_deadline_ != deadline) {
     // One wakeup event per distinct deadline: fire the CQ trigger so the
@@ -527,7 +511,6 @@ sim::Task<void> Window::wait_cq_until(sim::Tick deadline) {
 }
 
 sim::Task<void> Window::drain_target(int target) {
-  sim::Simulator& sim = comm_->engine().ctx().sim();
   auto remaining = [this, target]() -> std::uint64_t {
     if (target >= 0) return peers_[static_cast<std::size_t>(target)].outstanding;
     std::uint64_t n = 0;
@@ -556,14 +539,9 @@ sim::Task<void> Window::drain_target(int target) {
       deadline = arm_deadline();
     }
     if (remaining() == 0) co_return;
-    if (progress_) {
-      progress_ = false;
-      deadline = arm_deadline();
-    } else if (sim.now() >= deadline) {
-      throw_dead(target >= 0 ? target : first_outstanding(),
-                 "window:watchdog:flush");
-    }
-    co_await wait_cq_until(deadline);
+    co_await watchdog_wait(deadline,
+                           target >= 0 ? target : first_outstanding(),
+                           "window:watchdog:flush");
   }
 }
 
@@ -572,29 +550,20 @@ sim::Task<void> Window::recover(int target) {
   peer.failed = false;
   Engine& eng = comm_->engine();
   pmi::Context& pctx = eng.ctx();
-  pmi::Kvs& kvs = *pctx.kvs;
-  const int wr = comm_->world_rank(target);
 
   // Obituary board first: someone else may already have convicted the
   // target, in which case burning our own budget is pointless.
-  if (eng.ft_armed() && kvs.obit_version() != 0 && kvs.is_dead(wr)) {
-    abandon_target(target);
-    ++stats_.obit_fast_fails;
-    throw ProcFailedError(wr, "one-sided peer (world rank " +
-                                  std::to_string(wr) +
-                                  ") has a published obituary");
-  }
+  ft_entry(target, /*abandon=*/true);
 
   ++peer.attempts;
-  if (peer.attempts > cfg_.recovery_max_attempts) {
+  if (peer.attempts > eng.recovery_max_attempts()) {
+    if (!eng.ft_armed()) throw_dead(target, "window:retry-budget", true);
     abandon_target(target);
-    if (eng.ft_armed()) {
-      if (kvs.post_obit(wr)) pmi::wake_all_ranks(pctx);
-      throw ProcFailedError(wr, "one-sided retry budget exhausted toward "
-                                "world rank " +
-                                    std::to_string(wr));
-    }
-    throw_dead(target, "window:retry-budget");
+    const int wr = comm_->world_rank(target);
+    if (pctx.kvs->post_obit(wr)) pmi::wake_all_ranks(pctx);
+    throw ProcFailedError(wr, "one-sided retry budget exhausted toward "
+                              "world rank " +
+                                  std::to_string(wr));
   }
 
   co_await pctx.sim().delay(rdmach::capped_backoff(peer.attempts));
@@ -659,7 +628,7 @@ sim::Task<void> Window::drain_releases() {
   release_q_.clear();
 }
 
-void Window::throw_dead(int target, const char* stage) {
+void Window::throw_dead(int target, const char* stage, bool abandon) {
   rdmach::RecoverySnapshot snap;
   snap.stage = stage;
   snap.epoch = stats_.recoveries;
@@ -670,6 +639,7 @@ void Window::throw_dead(int target, const char* stage) {
   } else {
     snap.journal_outstanding = journal_.size();
   }
+  if (abandon) abandon_target(target);
   throw rdmach::ChannelError(
       target, std::string("one-sided epoch gave up (") + stage + ")",
       rdmach::ChannelError::kDead, std::move(snap));
@@ -715,13 +685,14 @@ sim::Task<void> Window::fence() {
 
 // ---- fault-tolerance entry checks -------------------------------------------
 
-void Window::ft_entry(int target) {
+void Window::ft_entry(int target, bool abandon) {
   Engine& eng = comm_->engine();
   if (!eng.ft_armed()) return;
   pmi::Kvs& kvs = *eng.ctx().kvs;
   if (kvs.obit_version() == 0) return;
   const int wr = comm_->world_rank(target);
   if (kvs.is_dead(wr)) {
+    if (abandon) abandon_target(target);
     ++stats_.obit_fast_fails;
     throw ProcFailedError(
         wr, "one-sided operation toward dead rank (world " +

@@ -38,9 +38,9 @@
 // Recovery composition: every async op is journalled until its CQE
 // retires it.  A flush that observes an error CQE tears the affected QP
 // down (close/quiesce/reset -- the peer binding survives, no re-handshake
-// needed) and replays that target's journal in order under a bounded
-// attempt budget with the channels' capped exponential backoff
-// (rdmach::capped_backoff).  Replay is exact here: a
+// needed) and replays that target's journal in order under the channels'
+// attempt budget (ChannelConfig::recovery_max_attempts) and capped
+// exponential backoff (rdmach::capped_backoff).  Replay is exact here: a
 // killed WQE never reached the responder, and notify flags write absolute
 // sequence numbers.  Budget exhaustion raises ChannelError (kDead) --
 // or, with the channel's ft_detector armed, convicts the target on the
@@ -63,23 +63,12 @@
 
 namespace mpi {
 
-/// Per-window knobs.
-struct WindowConfig {
-  /// Consecutive no-progress recovery attempts on one target before the
-  /// connection is declared dead (ChannelError / ProcFailedError).
-  int recovery_max_attempts = 8;
-};
-
 class Window {
  public:
   /// Collective over `comm`: every rank exposes [base, base+bytes).
   static sim::Task<std::unique_ptr<Window>> create(Communicator& comm,
                                                    void* base,
                                                    std::size_t bytes);
-  static sim::Task<std::unique_ptr<Window>> create(Communicator& comm,
-                                                   void* base,
-                                                   std::size_t bytes,
-                                                   const WindowConfig& cfg);
 
   ~Window();
   Window(const Window&) = delete;
@@ -141,7 +130,6 @@ class Window {
 
   Communicator& comm() const noexcept { return *comm_; }
   std::size_t size_bytes() const noexcept { return bytes_; }
-  const WindowConfig& config() const noexcept { return cfg_; }
 
   /// Window-local observability (tests and benches).
   struct Stats {
@@ -158,8 +146,7 @@ class Window {
   const Stats& stats() const noexcept { return stats_; }
 
  private:
-  Window(Communicator& comm, void* base, std::size_t bytes,
-         const WindowConfig& cfg);
+  Window(Communicator& comm, void* base, std::size_t bytes);
 
   /// Process-wide window-creation counter; combined with an allreduce it
   /// yields an id all members agree on (create() is collective).
@@ -207,8 +194,12 @@ class Window {
   // ---- completion / recovery ------------------------------------------------
   void process_wc(const ib::Wc& wc);
   void drain_cq();
-  /// Waits for CQ activity, bounded by `deadline`.
-  sim::Task<void> wait_cq_until(sim::Tick deadline);
+  /// One watchdog wait step toward `target`: completion progress since the
+  /// last step re-arms `deadline`; otherwise a passed deadline gives up
+  /// (throw_dead at `stage`); otherwise waits for CQ activity, bounded by
+  /// the deadline.
+  sim::Task<void> watchdog_wait(sim::Tick& deadline, int target,
+                                const char* stage);
   /// Drains outstanding ops toward `target` (-1 = every target),
   /// recovering failed QPs as needed; the watchdog bounds each wait.
   sim::Task<void> drain_target(int target);
@@ -220,20 +211,24 @@ class Window {
   void abandon_target(int target);
   sim::Task<void> drain_releases();
   sim::Tick arm_deadline() const;
-  [[noreturn]] void throw_dead(int target, const char* stage);
+  /// Gives up on `target` with ChannelError::kDead and a snapshot of its
+  /// recovery state; with `abandon`, the snapshot is taken first and the
+  /// target's journal is abandoned before the throw.
+  [[noreturn]] void throw_dead(int target, const char* stage,
+                               bool abandon = false);
 
   // ---- fault-tolerance entry checks -----------------------------------------
   /// Obituary fast-fail: ProcFailedError if the channel's detector is
   /// armed and the target has a published obituary.  Pure KVS lookup, so
-  /// fault-free traces are unchanged.
-  void ft_entry(int target);
+  /// fault-free traces are unchanged.  With `abandon`, a convicted
+  /// target's journal is abandoned before the throw (recovery's check).
+  void ft_entry(int target, bool abandon = false);
 
   void check_range(int target, std::size_t disp, std::size_t len) const;
 
   Communicator* comm_;
   std::byte* base_;
   std::size_t bytes_;
-  WindowConfig cfg_;
   std::uint64_t win_id_ = 0;
   bool locked_all_ = false;
 

@@ -177,7 +177,8 @@ struct ChannelConfig {
   /// replay) a connection may make without either direction's consumed
   /// watermark advancing before the connection is declared dead and put/get
   /// raise ChannelError.  Attempts that make progress reset the budget.
-  /// Each attempt first waits capped_backoff(attempt).
+  /// Each attempt first waits capped_backoff(attempt).  The one-sided
+  /// windows (mpi::Window) spend the same budget per target.
   int recovery_max_attempts = 8;
   /// Recovery watchdog: virtual-time budget for one recovery *episode* (a
   /// run of back-to-back attempts with no watermark progress).  An episode

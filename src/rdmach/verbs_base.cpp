@@ -363,9 +363,7 @@ void VerbsChannelBase::drain_cq() {
         auto it = qp_index_.find(wc.qp_num);
         if (it != qp_index_.end()) {
           VerbsConnection::Recovery& rec = it->second->rec;
-          if (rec.deadline != 0 &&
-              ctx_->sim().now() - rec.last_attempt <=
-                  cfg_.recovery_epoch_deadline) {
+          if (watchdog_armed(*it->second)) {
             rec.deadline = ctx_->sim().now() + cfg_.recovery_epoch_deadline;
             if (rec.suspicion > 0) --rec.suspicion;
           }
@@ -486,28 +484,6 @@ bool VerbsChannelBase::take_completion(std::uint64_t wr_id, ib::Wc* out) {
   return true;
 }
 
-sim::Task<ib::Wc> VerbsChannelBase::await_completion(std::uint64_t wr_id) {
-  ib::Wc wc;
-  for (;;) {
-    if (take_completion(wr_id, &wc)) {
-      if (wc.status == ib::WcStatus::kLocalProtectionError ||
-          wc.status == ib::WcStatus::kRemoteAccessError) {
-        throw std::logic_error(std::string("channel-internal WR failed: ") +
-                               ib::to_string(wc.status));
-      }
-      co_return wc;
-    }
-    if (num_rails_ > 1) {
-      // A CQE may land on any rail's CQ; dma_arrival fires on every CQE
-      // delivery (including the overrun path), so it is the one event that
-      // covers them all.
-      co_await node().dma_arrival().wait();
-    } else {
-      co_await cq_->wait_nonempty();
-    }
-  }
-}
-
 sim::Task<ib::Wc> VerbsChannelBase::await_completion(VerbsConnection& c,
                                                      std::uint64_t wr_id) {
   ib::Wc wc;
@@ -520,7 +496,7 @@ sim::Task<ib::Wc> VerbsChannelBase::await_completion(VerbsConnection& c,
       }
       co_return wc;
     }
-    if (watchdog_expired(c)) watchdog_abort(c, "completion");
+    if (watchdog_expired(c)) convict(c, Conviction::kWatchdog, "completion");
     if (watchdog_armed(c)) {
       // Park against the node trigger (fired on every CQE delivery on any
       // rail, and by the scheduled deadline wakeup) so this wait cannot
@@ -586,33 +562,57 @@ void VerbsChannelBase::obit_fast_fail(VerbsConnection& c, const char* stage) {
                      ChannelError::kDead, std::move(snap));
 }
 
-void VerbsChannelBase::watchdog_abort(VerbsConnection& c, const char* stage) {
-  ++stats_.watchdog_trips;
+void VerbsChannelBase::convict(VerbsConnection& c, Conviction why,
+                               const char* stage) {
+  if (why == Conviction::kWatchdog) ++stats_.watchdog_trips;
   c.rec.dead = true;
-  // Same release protocol as budget exhaustion: the peer may be parked in
-  // its own handshake wait -- publish the verdict, then wake it.
+  // Publish the verdict *before* throwing so the peer -- possibly parked
+  // inside its own handshake wait -- is released rather than deadlocked.
   ctx_->kvs->put(dead_key(rank(), c.peer), "1");
   wake_peer(c);
-  node().dma_arrival().fire();
+  if (why == Conviction::kWatchdog) node().dma_arrival().fire();
   post_obituary(c);
-  RecoverySnapshot snap = make_snapshot(c, std::string("watchdog:") + stage);
+  if (why == Conviction::kWatchdog) {
+    RecoverySnapshot snap = make_snapshot(c, std::string("watchdog:") + stage);
+    throw ChannelError(c.peer,
+                       "connection to rank " + std::to_string(c.peer) +
+                           " watchdog expired (" + snap.to_string() + ")",
+                       ChannelError::kDead, std::move(snap));
+  }
+  if (why == Conviction::kRetryBudget) {
+    const ChannelError::Kind kind =
+        c.rec.integrity ? ChannelError::kIntegrity : ChannelError::kDead;
+    throw ChannelError(
+        c.peer,
+        "connection to rank " + std::to_string(c.peer) +
+            " beyond recovery: " +
+            std::to_string(cfg_.recovery_max_attempts) +
+            " consecutive attempts without progress" +
+            (kind == ChannelError::kIntegrity ? " (integrity)" : ""),
+        kind, make_snapshot(c, stage));
+  }
   throw ChannelError(c.peer,
                      "connection to rank " + std::to_string(c.peer) +
-                         " watchdog expired (" + snap.to_string() + ")",
-                     ChannelError::kDead, std::move(snap));
+                         " beyond reach: " +
+                         std::to_string(cfg_.recovery_max_attempts) +
+                         " lazy-connect attempts without an answer (" +
+                         stage + ")",
+                     ChannelError::kDead, make_snapshot(c, stage));
+}
+
+void VerbsChannelBase::throw_if_dead(VerbsConnection& c, const char* stage) {
+  if (!c.rec.dead && !ctx_->kvs->has(dead_key(c.peer, rank()))) return;
+  c.rec.dead = true;
+  throw ChannelError(c.peer,
+                     "connection to rank " + std::to_string(c.peer) +
+                         " is dead",
+                     ChannelError::kDead, make_snapshot(c, stage));
 }
 
 sim::Task<void> VerbsChannelBase::maybe_recover(VerbsConnection& c) {
   drain_cq();
-  pmi::Kvs& kvs = *ctx_->kvs;
   for (;;) {
-    if (!c.rec.dead && kvs.has(dead_key(c.peer, rank()))) c.rec.dead = true;
-    if (c.rec.dead) {
-      throw ChannelError(c.peer,
-                         "connection to rank " + std::to_string(c.peer) +
-                             " is dead",
-                         ChannelError::kDead, make_snapshot(c, "dead"));
-    }
+    throw_if_dead(c, "dead");
     // Obituary board: someone else already paid the detection cost for
     // this peer -- fail fast instead of burning a local retry budget.
     // Re-checked every loop pass, so an obituary landing mid-burn aborts
@@ -715,7 +715,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
       // the episode must also have accrued enough suspicion (attempts with
       // no completions decaying the score) -- the accrual-detector gate.
       ++c.rec.attempts;
-      watchdog_abort(c, "retry-loop");
+      convict(c, Conviction::kWatchdog, "retry-loop");
     }
     c.rec.last_attempt = now;
     // From here on, successful completions observed by drain_cq count as
@@ -726,22 +726,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   }
 
   if (++c.rec.attempts > cfg_.recovery_max_attempts) {
-    // Publish the verdict *before* throwing so the peer -- possibly parked
-    // inside its own handshake wait -- is released rather than deadlocked.
-    c.rec.dead = true;
-    kvs.put(dead_key(rank(), c.peer), "1");
-    wake_peer(c);
-    post_obituary(c);
-    const ChannelError::Kind kind =
-        c.rec.integrity ? ChannelError::kIntegrity : ChannelError::kDead;
-    throw ChannelError(
-        c.peer,
-        "connection to rank " + std::to_string(c.peer) +
-            " beyond recovery: " +
-            std::to_string(cfg_.recovery_max_attempts) +
-            " consecutive attempts without progress" +
-            (kind == ChannelError::kIntegrity ? " (integrity)" : ""),
-        kind, make_snapshot(c, "retry-budget"));
+    convict(c, Conviction::kRetryBudget, "retry-budget");
   }
 
   // Bounded exponential backoff before touching the wire again.
@@ -790,7 +775,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   }
   if (!peer_qpn_s || !peer_consumed_s) {
     if (!kvs.has(dead_key(c.peer, rank())) && watchdog_expired(c)) {
-      watchdog_abort(c, "handshake");
+      convict(c, Conviction::kWatchdog, "handshake");
     }
     c.rec.dead = true;
     throw ChannelError(c.peer,
@@ -812,7 +797,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
     c.qp->connect(*peer_qp);
   } else if (watchdog_armed(c)) {
     const bool connected = co_await c.qp->wait_connected_until(c.rec.deadline);
-    if (!connected) watchdog_abort(c, "connect");
+    if (!connected) convict(c, Conviction::kWatchdog, "connect");
   } else {
     co_await c.qp->wait_connected();
   }
@@ -884,20 +869,7 @@ sim::Task<void> VerbsChannelBase::lz_pace(VerbsConnection& c,
   sim::Simulator& sim = ctx_->sim();
   if (sim.now() < c.lz_next_attempt) co_return;
   if (++c.rec.attempts > cfg_.recovery_max_attempts) {
-    // Same release protocol as recovery budget exhaustion: publish the
-    // verdict before throwing so a peer parked in its own half of the
-    // handshake is released rather than deadlocked.
-    c.rec.dead = true;
-    ctx_->kvs->put(dead_key(rank(), c.peer), "1");
-    wake_peer(c);
-    post_obituary(c);
-    throw ChannelError(c.peer,
-                       "connection to rank " + std::to_string(c.peer) +
-                           " beyond reach: " +
-                           std::to_string(cfg_.recovery_max_attempts) +
-                           " lazy-connect attempts without an answer (" +
-                           stage + ")",
-                       ChannelError::kDead, make_snapshot(c, stage));
+    convict(c, Conviction::kConnectBudget, stage);
   }
   c.lz_next_attempt = sim.now() + capped_backoff(c.rec.attempts);
   // Guaranteed self-wakeup at the next pacing step: a sender whose put()
@@ -1289,14 +1261,7 @@ sim::Task<bool> VerbsChannelBase::ensure_tx(VerbsConnection& c) {
     co_await lazy_advance(c);
     if (c.boot == Boot::kReady) co_return true;  // peer half was waiting
   }
-  if (c.rec.dead || ctx_->kvs->has(dead_key(c.peer, rank()))) {
-    c.rec.dead = true;
-    throw ChannelError(c.peer,
-                       "connection to rank " + std::to_string(c.peer) +
-                           " is dead",
-                       ChannelError::kDead,
-                       make_snapshot(c, "lazy-connect:dead"));
-  }
+  throw_if_dead(c, "lazy-connect:dead");
   obit_fast_fail(c, "lazy-connect");
   co_await lz_pace(c, "connect-budget");
   co_return false;
@@ -1313,14 +1278,7 @@ sim::Task<bool> VerbsChannelBase::ensure_rx(VerbsConnection& c) {
   }
   // Passive: never initiate -- but surface a dead sender so a receive from
   // a killed never-connected rank fails instead of spinning.
-  if (c.rec.dead || ctx_->kvs->has(dead_key(c.peer, rank()))) {
-    c.rec.dead = true;
-    throw ChannelError(c.peer,
-                       "connection to rank " + std::to_string(c.peer) +
-                           " is dead",
-                       ChannelError::kDead,
-                       make_snapshot(c, "lazy-accept:dead"));
-  }
+  throw_if_dead(c, "lazy-accept:dead");
   obit_fast_fail(c, "lazy-accept");
   co_return false;
 }

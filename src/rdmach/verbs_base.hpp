@@ -232,18 +232,15 @@ class VerbsChannelBase : public Channel {
   void drain_cq();
   /// Removes a stashed completion for wr_id, if present.
   bool take_completion(std::uint64_t wr_id, ib::Wc* out);
-  /// Blocks until the completion for wr_id is available.  Transport and
-  /// flush errors are *returned* (they are runtime conditions the recovery
-  /// layer handles); protection errors still throw -- channel-internal
-  /// transfers are programmed correctly by construction, so a bad key or
-  /// bounds violation here is a bug.
-  sim::Task<ib::Wc> await_completion(std::uint64_t wr_id);
-  /// Connection-aware variant: identical on the fault-free path (the
-  /// watchdog is unarmed there, so wait sources and wakeup order do not
-  /// change), but with a recovery episode in flight the park is bounded by
-  /// the episode deadline -- a completion that never comes trips the
-  /// watchdog (ChannelError::kDead + snapshot) instead of hanging forever.
-  /// Designs should use this for any wait a recovery/replay can depend on.
+  /// Blocks until the completion for wr_id on `c` is available.  Transport
+  /// and flush errors are *returned* (they are runtime conditions the
+  /// recovery layer handles); protection errors still throw -- channel-
+  /// internal transfers are programmed correctly by construction, so a bad
+  /// key or bounds violation here is a bug.  With a recovery episode in
+  /// flight the park is bounded by the episode deadline -- a completion
+  /// that never comes trips the watchdog (ChannelError::kDead + snapshot)
+  /// instead of hanging forever; with the watchdog unarmed (the fault-free
+  /// path) it parks on the CQ (on dma_arrival with several rails).
   sim::Task<ib::Wc> await_completion(VerbsConnection& c, std::uint64_t wr_id);
 
   // ---- recovery watchdog --------------------------------------------------
@@ -271,10 +268,21 @@ class VerbsChannelBase : public Channel {
     }
     return true;
   }
-  /// Declares `c` dead with a diagnostic snapshot: publishes the dead
-  /// marker (releasing a peer parked in its own handshake), wakes both
-  /// sides, and throws ChannelError::kDead.  `stage` names the stuck wait.
-  [[noreturn]] void watchdog_abort(VerbsConnection& c, const char* stage);
+  /// What convicted a peer: an expired watchdog episode, the recovery
+  /// retry budget, or the lazy-connect pacing budget.
+  enum class Conviction { kWatchdog, kRetryBudget, kConnectBudget };
+  /// The one conviction path: marks `c` dead, publishes the dead marker
+  /// (releasing a peer parked in its own handshake wait), wakes the peer --
+  /// and, for a watchdog trip, this node's parked loops -- posts the
+  /// obituary, then throws ChannelError with a snapshot.  `stage` names the
+  /// stuck wait (watchdog), the snapshot stage (retry budget) or the
+  /// lazy-connect phase (connect budget).
+  [[noreturn]] void convict(VerbsConnection& c, Conviction why,
+                            const char* stage);
+  /// The one dead check: if `c` is marked dead, or the peer published its
+  /// dead marker toward this rank, marks `c` dead and throws
+  /// ChannelError::kDead with a snapshot at `stage`.  No-op otherwise.
+  void throw_if_dead(VerbsConnection& c, const char* stage);
   /// Builds the diagnostic snapshot from `c`'s current recovery state.
   RecoverySnapshot make_snapshot(const VerbsConnection& c,
                                  std::string stage) const;
@@ -396,12 +404,11 @@ class VerbsChannelBase : public Channel {
   sim::Task<void> maybe_recover(VerbsConnection& c);
 
   // ---- failure detector (process faults) ----------------------------------
-  /// Publishes an obituary for `c`'s peer on the job-wide board.  Called at
-  /// every site that convicts a peer as permanently dead (watchdog trip,
-  /// retry-budget exhaustion, lazy-connect pacing budget), so the first
-  /// rank to pay a full detection cost spares everyone else theirs.  Wakes
-  /// every node's progress loop -- engines park on the fabric trigger, not
-  /// the KVS one.  Idempotent per peer.
+  /// Publishes an obituary for `c`'s peer on the job-wide board.  Called by
+  /// convict(), the one site that declares a peer permanently dead, so the
+  /// first rank to pay a full detection cost spares everyone else theirs.
+  /// Wakes every node's progress loop -- engines park on the fabric
+  /// trigger, not the KVS one.  Idempotent per peer.
   void post_obituary(VerbsConnection& c);
   /// Whether `c`'s peer is already on the obituary board.
   bool peer_obituaried(const VerbsConnection& c) const {

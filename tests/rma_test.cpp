@@ -426,8 +426,8 @@ TEST(RmaFault, AccumulateFailureReleasesRemoteLock) {
   // lock word -- otherwise rank 2, accumulating to the same live target,
   // spins on the leaked lock until its watchdog and raises a false kDead.
   constexpr int kP = 3;
-  mpi::WindowConfig wcfg;
-  wcfg.recovery_max_attempts = 0;
+  mpi::RuntimeConfig cfg;
+  cfg.stack.channel.recovery_max_attempts = 0;
   FaultPlan plan;
   sim::Simulator sim;
   ib::Fabric fabric{sim};
@@ -437,11 +437,11 @@ TEST(RmaFault, AccumulateFailureReleasesRemoteLock) {
   bool second_ok = false;
   std::int64_t final_value = -1;
   job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
-    mpi::Runtime rt(ctx, {});
+    mpi::Runtime rt(ctx, cfg);
     co_await rt.init();
     mpi::Communicator& world = rt.world();
     std::vector<std::int64_t> mem(1, 0);
-    auto win = co_await mpi::Window::create(world, mem.data(), 8, wcfg);
+    auto win = co_await mpi::Window::create(world, mem.data(), 8);
     co_await win->fence();
     win->lock_all();
     const std::int64_t contrib = 5;
@@ -488,9 +488,7 @@ TEST(RmaFault, RmaToDeadRankFailsFastUnderFtDetector) {
   mpi::RuntimeConfig cfg;
   cfg.stack.channel.design = rdmach::Design::kZeroCopy;
   cfg.stack.channel.ft_detector = true;
-  cfg.stack.channel.recovery_max_attempts = 4;
-  mpi::WindowConfig wcfg;
-  wcfg.recovery_max_attempts = 3;  // shorten the conviction
+  cfg.stack.channel.recovery_max_attempts = 3;  // shorten the conviction
   FaultPlan plan;
   sim::Simulator sim;
   ib::Fabric fabric{sim};
@@ -507,8 +505,7 @@ TEST(RmaFault, RmaToDeadRankFailsFastUnderFtDetector) {
     co_await rt.init();
     mpi::Communicator& world = rt.world();
     std::vector<std::int64_t> mem(8, 0);
-    auto win =
-        co_await mpi::Window::create(world, mem.data(), 8 * 8, wcfg);
+    auto win = co_await mpi::Window::create(world, mem.data(), 8 * 8);
     co_await win->fence();
     if (ctx.rank == 3) {
       plan.schedule.rank_down(FaultPlan::scope_of(3));
@@ -556,6 +553,53 @@ TEST(RmaFault, RmaToDeadRankFailsFastUnderFtDetector) {
     EXPECT_TRUE(fast_failed[r]) << "survivor " << r << " did not fast-fail";
   }
   EXPECT_GE(fast_fail_count, 1u);
+}
+
+TEST(RmaFault, RetryBudgetSnapshotCountsAbandonedOps) {
+  // Rank 1 dies with no failure detector armed: rank 0's flush burns the
+  // stack's retry budget and gives up with ChannelError.  The snapshot
+  // must count the two puts the give-up abandons -- it is taken before
+  // their journal entries are dropped.
+  mpi::RuntimeConfig cfg;
+  cfg.stack.channel.recovery_max_attempts = 3;
+  FaultPlan plan;
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  fabric.attach_faults(&plan.schedule);
+  pmi::Job job{fabric, 2};
+  bool gave_up = false;
+  rdmach::RecoverySnapshot snap;
+  std::vector<std::unique_ptr<mpi::Runtime>> rts(2);
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    rts[static_cast<std::size_t>(ctx.rank)] =
+        std::make_unique<mpi::Runtime>(ctx, cfg);
+    mpi::Runtime& rt = *rts[static_cast<std::size_t>(ctx.rank)];
+    co_await rt.init();
+    mpi::Communicator& world = rt.world();
+    std::vector<std::int64_t> mem(2, 0);
+    auto win = co_await mpi::Window::create(world, mem.data(), 2 * 8);
+    co_await win->fence();
+    if (ctx.rank == 1) {
+      plan.schedule.rank_down(FaultPlan::scope_of(1));
+      co_return;  // the corpse: never progresses again
+    }
+    win->lock_all();
+    const std::int64_t v[2] = {7, 8};
+    try {
+      co_await win->put(&v[0], 1, mpi::Datatype::kLong, 1, 0);
+      co_await win->put(&v[1], 1, mpi::Datatype::kLong, 1, 8);
+      co_await win->flush(1);
+    } catch (const rdmach::ChannelError& e) {
+      gave_up = true;
+      EXPECT_TRUE(e.has_snapshot());
+      snap = e.snapshot();
+    }
+  });
+  sim.run_until(kDeadline);
+  ASSERT_TRUE(gave_up) << "the flush toward the corpse never gave up";
+  EXPECT_EQ(snap.stage, "window:retry-budget");
+  EXPECT_EQ(snap.attempts, 4);
+  EXPECT_EQ(snap.journal_outstanding, 2u);
 }
 
 // ---------------------------------------------------------------------------
