@@ -13,9 +13,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "ib/buffer.hpp"
 
 namespace ib {
 
@@ -25,28 +29,30 @@ class SharedRecvPool {
   /// use that as the "dedicated rings" degenerate mode.
   SharedRecvPool() = default;
 
+  /// Allocates the storage without zero-filling it: no reader sees a byte
+  /// of it before acquire() has zeroed its lease.
   void reset(std::size_t rings, std::size_t ring_bytes) {
-    rings_ = rings;
     ring_bytes_ = ring_bytes;
-    storage_.assign(rings * ring_bytes, std::byte{0});
-    free_.clear();
-    free_.reserve(rings);
-    // LIFO free list: the most recently released (cache-warm) lease is
-    // reused first.  Indices pushed in reverse so lease 0 goes out first.
-    for (std::size_t i = rings; i > 0; --i) free_.push_back(i - 1);
+    storage_.resize(rings * ring_bytes);
+    // Intrusive LIFO free list: the most recently released (cache-warm)
+    // lease is reused first, and lease 0 goes out first.
+    next_.resize(rings);
+    for (std::size_t i = 0; i < rings; ++i) next_[i] = i + 1;
+    free_head_ = 0;
     leased_ = 0;
     high_water_ = 0;
   }
 
-  bool configured() const noexcept { return rings_ > 0; }
+  bool configured() const noexcept { return !next_.empty(); }
 
   /// Leases one ring; returns its base pointer, or nullptr when the pool is
   /// exhausted (caller backpressures).  The extent is zeroed -- a fresh
   /// lease must not replay a previous tenant's polling flags.
   std::byte* acquire() {
-    if (free_.empty()) return nullptr;
-    const std::size_t idx = free_.back();
-    free_.pop_back();
+    if (free_head_ >= next_.size()) return nullptr;
+    const std::size_t idx = free_head_;
+    free_head_ = next_[idx];
+    next_[idx] = kLeased;
     std::byte* base = storage_.data() + idx * ring_bytes_;
     std::memset(base, 0, ring_bytes_);
     ++leased_;
@@ -54,27 +60,41 @@ class SharedRecvPool {
     return base;
   }
 
+  /// Returns a lease to the pool.  Throws std::logic_error for a pointer
+  /// that is not a ring base of this pool, or for a ring that is not leased
+  /// (a double release would hand one ring to two connections).
   void release(std::byte* base) {
-    const std::size_t off = static_cast<std::size_t>(base - storage_.data());
-    if (base == nullptr || off % ring_bytes_ != 0 ||
-        off / ring_bytes_ >= rings_) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(base);
+    const auto first = reinterpret_cast<std::uintptr_t>(storage_.data());
+    if (base == nullptr || addr < first || addr - first >= storage_.size() ||
+        (addr - first) % ring_bytes_ != 0) {
       throw std::logic_error("SharedRecvPool: release of a foreign pointer");
     }
-    free_.push_back(off / ring_bytes_);
+    const std::size_t idx = (addr - first) / ring_bytes_;
+    if (next_[idx] != kLeased) {
+      throw std::logic_error("SharedRecvPool: release of an unleased ring");
+    }
+    next_[idx] = free_head_;
+    free_head_ = idx;
     --leased_;
   }
 
   std::byte* base() noexcept { return storage_.data(); }
-  std::size_t free_rings() const noexcept { return free_.size(); }
+  std::size_t free_rings() const noexcept { return next_.size() - leased_; }
   std::size_t bytes() const noexcept { return storage_.size(); }
   std::size_t leased() const noexcept { return leased_; }
   std::size_t high_water() const noexcept { return high_water_; }
 
  private:
-  std::size_t rings_ = 0;
+  /// next_ entry of a leased ring; a free ring holds the index of the next
+  /// free ring (next_.size() ends the list).
+  static constexpr std::size_t kLeased =
+      std::numeric_limits<std::size_t>::max();
+
   std::size_t ring_bytes_ = 0;
-  std::vector<std::byte> storage_;
-  std::vector<std::size_t> free_;
+  UninitBytes storage_;
+  std::vector<std::size_t> next_;
+  std::size_t free_head_ = 0;
   std::size_t leased_ = 0;
   std::size_t high_water_ = 0;
 };

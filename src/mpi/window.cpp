@@ -1,6 +1,7 @@
 #include "mpi/window.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -54,38 +55,49 @@ sim::Task<void> Window::init() {
   ctrl_mr_ = co_await pd_->register_memory(ctrl_.data(), ctrl_.size() * 8,
                                            ib::kAllAccess);
 
-  auto key = [this](int from, int to, const char* what) {
-    return "win:" + std::to_string(win_id_) + ":" + std::to_string(from) +
-           ":" + std::to_string(to) + ":" + what;
-  };
-
   peers_.resize(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
-    ib::QueuePair& qp = ctx.node->hca().create_qp(*pd_, *cq_, *cq_);
-    peers_[static_cast<std::size_t>(r)].qp = &qp;
-    kvs.put_u64(key(me, r, "qpn"), qp.qp_num());
+    peers_[static_cast<std::size_t>(r)].qp =
+        &ctx.node->hca().create_qp(*pd_, *cq_, *cq_);
   }
-  kvs.put_u64(key(me, -1, "addr"), reinterpret_cast<std::uint64_t>(base_));
-  kvs.put_u64(key(me, -1, "size"), bytes_);
-  kvs.put_u64(key(me, -1, "rkey"), mr_->rkey());
-  kvs.put_u64(key(me, -1, "caddr"),
-              reinterpret_cast<std::uint64_t>(ctrl_.data()));
-  kvs.put_u64(key(me, -1, "ckey"), ctrl_mr_->rkey());
+
+  // One descriptor key per rank: addr, size, rkey, caddr, ckey, then the
+  // QPN of the QP this rank created for each peer (0 for itself).
+  auto key = [this](int rank) {
+    return "win:" + std::to_string(win_id_) + ":" + std::to_string(rank);
+  };
+  std::string desc;
+  auto field = [&desc](std::uint64_t v) { desc += std::to_string(v) + ' '; };
+  field(reinterpret_cast<std::uint64_t>(base_));
+  field(bytes_);
+  field(mr_->rkey());
+  field(reinterpret_cast<std::uint64_t>(ctrl_.data()));
+  field(ctrl_mr_->rkey());
+  for (const Peer& peer : peers_) {
+    field(peer.qp == nullptr ? 0 : peer.qp->qp_num());
+  }
+  kvs.put(key(me), std::move(desc));
 
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
     Peer& peer = peers_[static_cast<std::size_t>(r)];
-    peer.raddr = co_await kvs.get_u64(key(r, -1, "addr"));
-    peer.rbytes = co_await kvs.get_u64(key(r, -1, "size"));
-    peer.rkey =
-        static_cast<std::uint32_t>(co_await kvs.get_u64(key(r, -1, "rkey")));
-    peer.ctrl_raddr = co_await kvs.get_u64(key(r, -1, "caddr"));
-    peer.ctrl_rkey =
-        static_cast<std::uint32_t>(co_await kvs.get_u64(key(r, -1, "ckey")));
+    const std::string rdesc = co_await kvs.get(key(r));
+    const char* at = rdesc.data();
+    const char* const end = at + rdesc.size();
+    auto next = [&at, end] {
+      std::uint64_t v = 0;
+      at = std::from_chars(at, end, v).ptr + 1;  // skip the separator
+      return v;
+    };
+    peer.raddr = next();
+    peer.rbytes = next();
+    peer.rkey = static_cast<std::uint32_t>(next());
+    peer.ctrl_raddr = next();
+    peer.ctrl_rkey = static_cast<std::uint32_t>(next());
     if (me < r) {
-      const auto peer_qpn = static_cast<std::uint32_t>(
-          co_await kvs.get_u64(key(r, me, "qpn")));
+      for (int i = 0; i < me; ++i) next();
+      const auto peer_qpn = static_cast<std::uint32_t>(next());
       ib::QueuePair* remote = ctx.fabric().find_qp(peer_qpn);
       peer.qp->connect(*remote);
     }

@@ -122,6 +122,17 @@ class Kvs {
 
   std::size_t size() const noexcept { return entries_.size(); }
 
+  /// Publishes a connection-recovery key: a channel's dead marker or one
+  /// half of an epoch re-handshake.  recovery_version() counts these
+  /// publications, so fault polls skip their key lookups while it is 0 --
+  /// the whole fault-free run.
+  void put_recovery(const std::string& key, std::uint64_t v) {
+    ++recovery_version_;
+    put_u64(key, v);
+  }
+
+  std::uint64_t recovery_version() const noexcept { return recovery_version_; }
+
   /// Obituary board.  A rank that convicts a peer as permanently dead posts
   /// an obituary here; every other rank consults the board before burning
   /// its own retry budget against the corpse.  post_obit is idempotent (the
@@ -148,6 +159,7 @@ class Kvs {
   std::map<std::string, std::vector<std::string>> mailboxes_;
   std::set<int> dead_ranks_;
   std::vector<int> obit_list_;
+  std::uint64_t recovery_version_ = 0;
   sim::Trigger published_;
 };
 

@@ -354,7 +354,9 @@ struct ChannelStats {
   /// Peak simultaneously leased rings in the shared receive pool.
   std::uint64_t srq_pool_high_water = 0;
   /// Bytes of per-rank communication memory currently resident: staging +
-  /// receive rings (pooled or dedicated) + control blocks.
+  /// receive rings (pooled or dedicated) + control blocks.  Counts what is
+  /// allocated, not what is touched: pool storage and staging are not
+  /// zero-filled, so their pages stay untouched until first written.
   std::uint64_t resident_bytes = 0;
   /// Currently wired peer connections (O(active peers), not O(ranks)).
   std::uint64_t qps_live = 0;

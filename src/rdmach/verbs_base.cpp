@@ -96,7 +96,7 @@ sim::Task<void> VerbsChannelBase::init() {
     conn->rail_failed.assign(static_cast<std::size_t>(num_rails_), 0);
     conn->recv_ring.assign(kRingBytes, std::byte{0});
     conn->rx = conn->recv_ring.data();
-    conn->staging.assign(kRingBytes, std::byte{0});
+    conn->staging.resize(kRingBytes);
     conn->ring_mr = co_await pd_->register_memory(
         conn->recv_ring.data(), conn->recv_ring.size(), ib::kAllAccess);
     conn->staging_mr = co_await pd_->register_memory(
@@ -568,7 +568,7 @@ void VerbsChannelBase::convict(VerbsConnection& c, Conviction why,
   c.rec.dead = true;
   // Publish the verdict *before* throwing so the peer -- possibly parked
   // inside its own handshake wait -- is released rather than deadlocked.
-  ctx_->kvs->put(dead_key(rank(), c.peer), "1");
+  ctx_->kvs->put_recovery(dead_key(rank(), c.peer), 1);
   wake_peer(c);
   if (why == Conviction::kWatchdog) node().dma_arrival().fire();
   post_obituary(c);
@@ -601,7 +601,7 @@ void VerbsChannelBase::convict(VerbsConnection& c, Conviction why,
 }
 
 void VerbsChannelBase::throw_if_dead(VerbsConnection& c, const char* stage) {
-  if (!c.rec.dead && !ctx_->kvs->has(dead_key(c.peer, rank()))) return;
+  if (!c.rec.dead && !peer_declared_dead(c)) return;
   c.rec.dead = true;
   throw ChannelError(c.peer,
                      "connection to rank " + std::to_string(c.peer) +
@@ -676,7 +676,14 @@ void VerbsChannelBase::schedule_retry_wakeup() {
 }
 
 bool VerbsChannelBase::peer_epoch_pending(VerbsConnection& c) const {
-  return ctx_->kvs->has(rec_key(c.peer, rank(), c.rec.epoch + 1, "qpn"));
+  const pmi::Kvs& kvs = *ctx_->kvs;
+  return kvs.recovery_version() != 0 &&
+         kvs.has(rec_key(c.peer, rank(), c.rec.epoch + 1, "qpn"));
+}
+
+bool VerbsChannelBase::peer_declared_dead(const VerbsConnection& c) const {
+  const pmi::Kvs& kvs = *ctx_->kvs;
+  return kvs.recovery_version() != 0 && kvs.has(dead_key(c.peer, rank()));
 }
 
 void VerbsChannelBase::wake_peer(VerbsConnection& c) {
@@ -746,9 +753,10 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   // of the peer's stream I had consumed (its replay start).
   if (!c.qp->port().up()) note_rail_dead(c, c.qp->port().rail());
   c.qp = &create_rail_qp(lowest_live_rail());
-  kvs.put_u64(rec_key(rank(), c.peer, next_epoch, "qpn"), c.qp->qp_num());
-  kvs.put_u64(rec_key(rank(), c.peer, next_epoch, "consumed"),
-              journal_consumed(c));
+  kvs.put_recovery(rec_key(rank(), c.peer, next_epoch, "qpn"),
+                   c.qp->qp_num());
+  kvs.put_recovery(rec_key(rank(), c.peer, next_epoch, "consumed"),
+                   journal_consumed(c));
   wake_peer(c);
 
   // Join the peer's half -- unless it declared the connection dead, or the
@@ -774,7 +782,7 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
         dead_key(c.peer, rank()));
   }
   if (!peer_qpn_s || !peer_consumed_s) {
-    if (!kvs.has(dead_key(c.peer, rank())) && watchdog_expired(c)) {
+    if (!peer_declared_dead(c) && watchdog_expired(c)) {
       convict(c, Conviction::kWatchdog, "handshake");
     }
     c.rec.dead = true;
@@ -907,7 +915,7 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
     ring_addr = reinterpret_cast<std::uint64_t>(c.rx);
     ring_rkey = c.ring_mr->rkey();
   }
-  c.staging.assign(kRingBytes, std::byte{0});
+  c.staging.resize(kRingBytes);
   c.staging_mr = co_await pd_->register_memory(c.staging.data(),
                                                c.staging.size(),
                                                ib::kAllAccess);
@@ -933,8 +941,7 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
 
 sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
   if (c.boot != VerbsConnection::Boot::kRequested) co_return;
-  pmi::Kvs& kvs = *ctx_->kvs;
-  if (kvs.has(dead_key(c.peer, rank()))) {
+  if (peer_declared_dead(c)) {
     // The peer died mid-handshake; its verdict surfaces at the next
     // put/get on this connection.  Local registrations (if any) are
     // reclaimed at finalize.
@@ -944,6 +951,7 @@ sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
   }
   const bool have_local = co_await lazy_setup_local(c);
   if (!have_local) co_return;
+  pmi::Kvs& kvs = *ctx_->kvs;
   const std::string* qpn_s = kvs.find(lazy_key(c.peer, rank(), c.lz_gen,
                                                "qpn"));
   if (qpn_s == nullptr) co_return;  // peer half not published yet
@@ -1030,7 +1038,7 @@ sim::Task<void> VerbsChannelBase::lazy_teardown(VerbsConnection& c) {
   c.ring_mr = nullptr;
   c.rx = nullptr;
   std::vector<std::byte>().swap(c.recv_ring);
-  std::vector<std::byte>().swap(c.staging);
+  ib::UninitBytes().swap(c.staging);
   // The journal restarts from zero on both sides symmetrically; eviction
   // only ever fires on a fully-drained, fully-acknowledged connection, so
   // this loses bookkeeping, not data.
@@ -1190,7 +1198,8 @@ sim::Task<void> VerbsChannelBase::lazy_service() {
   lz_service_busy_ = true;
   std::exception_ptr err;
   try {
-    const std::vector<std::string>& box = ctx_->kvs->mail(lz_mail_key(rank()));
+    if (lz_mail_ == nullptr) lz_mail_ = &ctx_->kvs->mail(lz_mail_key(rank()));
+    const std::vector<std::string>& box = *lz_mail_;
     while (lz_mail_cursor_ < box.size()) {
       const std::string msg = box[lz_mail_cursor_];
       ++lz_mail_cursor_;

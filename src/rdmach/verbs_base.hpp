@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ib/buffer.hpp"
 #include "ib/cq.hpp"
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
@@ -70,7 +71,9 @@ class VerbsConnection : public Connection {
  public:
   ib::QueuePair* qp = nullptr;
   std::vector<std::byte> recv_ring;  // peer RDMA-writes message data here
-  std::vector<std::byte> staging;    // preregistered send-side copy buffer
+  /// Preregistered send-side copy buffer.  Not zero-filled: every byte is
+  /// written before it is posted or checksummed.
+  ib::UninitBytes staging;
   CtrlBlock ctrl;
   ib::MemoryRegion* ring_mr = nullptr;
   ib::MemoryRegion* staging_mr = nullptr;
@@ -552,6 +555,10 @@ class VerbsChannelBase : public Channel {
   /// True when the peer has published its half of the next epoch's
   /// handshake -- the signal for a rank that saw no local error to join.
   bool peer_epoch_pending(VerbsConnection& c) const;
+  /// True when the peer has published its dead marker toward this rank.
+  /// Like peer_epoch_pending, free of key lookups until some channel has
+  /// published a recovery key (Kvs::recovery_version).
+  bool peer_declared_dead(const VerbsConnection& c) const;
 
   // ---- lazy connect internals ---------------------------------------------
   /// One pass of the lazy control plane: drains the handshake mailbox,
@@ -612,7 +619,9 @@ class VerbsChannelBase : public Channel {
   std::vector<int> active_;
   /// Peers mid-handshake (kRequested); each service pass re-drives them.
   std::vector<int> lz_pending_;
-  std::size_t lz_mail_cursor_ = 0;
+  /// This rank's handshake mailbox, fetched once by the first service pass
+  /// (Kvs::mail references are stable).
+  const std::vector<std::string>* lz_mail_ = nullptr;
   bool lz_service_busy_ = false;
   /// Peer of the one in-flight eviction handshake, or -1.
   int lz_evict_peer_ = -1;
@@ -622,6 +631,9 @@ class VerbsChannelBase : public Channel {
   /// one clean connection -- the one the current operation needs -- and
   /// livelock on evict/reconnect.
   int lz_protect_ = -1;
+  /// Messages of *lz_mail_ already handled.  32 bits fill the padding in
+  /// front of lz_clock_, so the mailbox pointer adds no object size.
+  std::uint32_t lz_mail_cursor_ = 0;
   std::uint64_t lz_clock_ = 0;
   /// Resident connections (wired QP sets), the qp_budget gauge.
   std::uint64_t qps_live_ = 0;

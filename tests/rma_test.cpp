@@ -359,6 +359,49 @@ TEST(Rma, AsymmetricWindowsValidateAgainstTargetSize) {
   EXPECT_TRUE(rejected) << "out-of-range access was not rejected locally";
 }
 
+TEST(Rma, WindowCreatePublishesOneKeyPerRank) {
+  // Window::create exchanges one descriptor key per rank (addr, size, rkey,
+  // control block, per-peer QPNs), so the PMI key space grows O(p) per
+  // window, not O(p^2).
+  constexpr int kP = 8;
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  pmi::Job job{fabric, kP};
+  std::size_t before = 0;
+  std::size_t after = 0;
+  int verified = 0;
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    mpi::Runtime rt(ctx, {});
+    co_await rt.init();
+    mpi::Communicator& world = rt.world();
+    const int me = world.rank();
+    co_await world.barrier();
+    if (me == 0) before = ctx.kvs->size();
+    std::vector<std::int64_t> mem(kP, -1);
+    auto win = co_await mpi::Window::create(world, mem.data(), mem.size() * 8);
+    if (me == 0) after = ctx.kvs->size();
+    // The exchanged descriptors must still wire every pair: each rank
+    // puts its rank into its own slot at every other rank.
+    co_await win->fence();
+    const std::int64_t v = me;
+    for (int t = 0; t < kP; ++t) {
+      if (t == me) continue;
+      co_await win->put(&v, 1, mpi::Datatype::kLong, t,
+                        static_cast<std::size_t>(me) * 8);
+    }
+    co_await win->fence();
+    bool all = true;
+    for (int o = 0; o < kP; ++o) {
+      if (o != me && mem[static_cast<std::size_t>(o)] != o) all = false;
+    }
+    if (all) ++verified;
+    co_await rt.finalize();
+  });
+  sim.run_until(kDeadline);
+  EXPECT_EQ(after - before, static_cast<std::size_t>(kP));
+  EXPECT_EQ(verified, kP);
+}
+
 // ---------------------------------------------------------------------------
 // Recovery composition
 // ---------------------------------------------------------------------------

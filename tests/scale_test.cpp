@@ -11,11 +11,13 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "channel_test_util.hpp"
 #include "ib/fabric.hpp"
+#include "ib/srq.hpp"
 #include "pmi/pmi.hpp"
 #include "rdmach/channel.hpp"
 #include "sim/rng.hpp"
@@ -486,6 +488,61 @@ TEST(SharedRecvPool, ExhaustionBackpressuresThenWiresViaEviction) {
   EXPECT_GT(st.credit_stalls, 0u);  // the pool said "not yet" at least once
   EXPECT_GE(st.qps_evicted, 1u);    // a lease had to be recycled
   EXPECT_EQ(st.srq_pool_high_water, 2u);
+}
+
+TEST(SharedRecvPool, DoubleReleaseThrows) {
+  // A ring released twice would sit on the free list twice, and two later
+  // connections would share one receive ring.
+  ib::SharedRecvPool pool;
+  pool.reset(2, 64);
+  std::byte* a = pool.acquire();
+  ASSERT_NE(a, nullptr);
+  pool.release(a);
+  EXPECT_THROW(pool.release(a), std::logic_error);
+  EXPECT_EQ(pool.free_rings(), 2u);
+  EXPECT_EQ(pool.leased(), 0u);
+  // A ring that was never leased, a null pointer, an interior pointer and
+  // a foreign pointer are rejected too.
+  EXPECT_THROW(pool.release(pool.base() + 64), std::logic_error);
+  EXPECT_THROW(pool.release(nullptr), std::logic_error);
+  std::byte* b = pool.acquire();
+  ASSERT_NE(b, nullptr);
+  EXPECT_THROW(pool.release(b + 1), std::logic_error);
+  std::byte foreign[64];
+  EXPECT_THROW(pool.release(foreign), std::logic_error);
+  // Both rings are still handed out exactly once.
+  std::byte* c = pool.acquire();
+  ASSERT_NE(c, nullptr);
+  EXPECT_NE(b, c);
+  EXPECT_EQ(pool.acquire(), nullptr);
+  pool.release(b);
+  pool.release(c);
+  EXPECT_EQ(pool.free_rings(), 2u);
+}
+
+TEST(SharedRecvPool, LeaseIsZeroOverDirtyStorage) {
+  // The pool storage is not zero-filled; acquire() zeroes each lease, so
+  // no reader sees a previous tenant's bytes (or the allocator's).
+  constexpr std::size_t kRing = 4096;
+  const auto all_zero = [](const std::byte* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (p[i] != std::byte{0}) return false;
+    }
+    return true;
+  };
+  ib::SharedRecvPool pool;
+  pool.reset(2, kRing);
+  std::byte* first = pool.acquire();
+  ASSERT_NE(first, nullptr);
+  EXPECT_TRUE(all_zero(first, kRing)) << "first lease of a fresh pool";
+  std::memset(first, 0xA5, kRing);
+  pool.release(first);
+  std::byte* again = pool.acquire();
+  ASSERT_EQ(again, first);  // LIFO: the dirty ring comes back
+  EXPECT_TRUE(all_zero(again, kRing)) << "re-lease of a dirtied ring";
+  std::byte* second = pool.acquire();
+  ASSERT_NE(second, nullptr);
+  EXPECT_TRUE(all_zero(second, kRing)) << "first lease of the other ring";
 }
 
 // ---------------------------------------------------------------------------
