@@ -37,6 +37,8 @@ mpib_add_bench(nas_fault)
 # Bench smokes under the `perf` ctest label: the key perf benches run
 # end-to-end with reduced sweeps (--smoke), so a bandwidth or latency
 # regression surfaces from `ctest -L perf` without the full figure runs.
+# Figure 16 runs whole (a few seconds): its table is all eight NAS kernels
+# on the three stacks, with their verification.
 add_test(NAME perf.smoke.abl_adaptive
          COMMAND abl_adaptive --smoke)
 add_test(NAME perf.smoke.fig13_14_ch3_vs_rdma
@@ -55,10 +57,13 @@ add_test(NAME perf.smoke.ext_onesided
          COMMAND ext_onesided --smoke)
 add_test(NAME perf.smoke.ext_rma
          COMMAND ext_rma --smoke)
+add_test(NAME perf.smoke.fig16_nas_a4
+         COMMAND fig16_nas_a4)
 set_tests_properties(perf.smoke.abl_adaptive perf.smoke.fig13_14_ch3_vs_rdma
                      perf.smoke.abl_integrity perf.smoke.abl_multirail
                      perf.smoke.nas_fault perf.smoke.nas_grayfault
                      perf.smoke.ext_scalability
                      perf.smoke.ext_onesided perf.smoke.ext_rma
+                     perf.smoke.fig16_nas_a4
   PROPERTIES LABELS perf
              WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

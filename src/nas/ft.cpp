@@ -7,10 +7,12 @@
 // the original field and a checksum reduction.
 // Scaled grids (nx, ny, nz): S 32^3, W 64x32x32, A 64^3, B 128x64x64
 // (official A is 256x256x128).
+#include <array>
 #include <cmath>
 #include <complex>
 #include <vector>
 
+#include "nas/fft.hpp"
 #include "nas/nas.hpp"
 #include "nas/nas_random.hpp"
 
@@ -25,7 +27,7 @@ struct FtConfig {
   int iters;
 };
 
-FtConfig ft_config(Class c) {
+constexpr FtConfig ft_config(Class c) {
   switch (c) {
     case Class::S:
       return {32, 32, 32, 2};
@@ -39,9 +41,44 @@ FtConfig ft_config(Class c) {
   return {32, 32, 32, 2};
 }
 
-/// In-place iterative radix-2 FFT of length n (power of two).
-/// sign = -1 forward, +1 inverse (unnormalized).
+static_assert(ft_config(Class::B).nx <= kMaxFftLen,
+              "an FT axis is longer than the twiddle tables");
+
+/// Every radix-2 stage's twiddles for one direction (sign = -1 forward, +1
+/// inverse): stage `len` reads w^0..w^(len/2-1) from offset len/2 - 1.
+/// They come from the recurrence  w *= wl,  not from cos/sin per k: FT's
+/// results are pinned to that rounding.  A stage's twiddles do not depend
+/// on the transform length, so one table per direction serves every axis.
+struct Twiddles {
+  std::array<Cplx, kMaxFftLen - 1> w;
+
+  explicit Twiddles(int sign) {
+    std::size_t o = 0;
+    for (int len = 2; len <= kMaxFftLen; len <<= 1) {
+      const double ang = sign * 2.0 * M_PI / len;
+      const Cplx wl(std::cos(ang), std::sin(ang));
+      Cplx t(1.0, 0.0);
+      for (int k = 0; k < len / 2; ++k) {
+        w[o++] = t;
+        t *= wl;
+      }
+    }
+  }
+};
+
+// Built on first use, not at start-up: built before main, the tables raised
+// the peak resident set of runs that never execute FT by ~0.3 MB.
+const Twiddles& twiddles(int sign) {
+  static const Twiddles forward(-1), inverse(+1);
+  return sign < 0 ? forward : inverse;
+}
+
+double fft_flops(int n) { return 5.0 * n * std::log2(static_cast<double>(n)); }
+
+}  // namespace
+
 void fft1d(Cplx* a, int n, int sign) {
+  const Cplx* tw = twiddles(sign).w.data();
   // Bit-reversal permutation.
   for (int i = 1, j = 0; i < n; ++i) {
     int bit = n >> 1;
@@ -50,24 +87,18 @@ void fft1d(Cplx* a, int n, int sign) {
     if (i < j) std::swap(a[i], a[j]);
   }
   for (int len = 2; len <= n; len <<= 1) {
-    const double ang = sign * 2.0 * M_PI / len;
-    const Cplx wl(std::cos(ang), std::sin(ang));
+    const int half = len / 2;
+    const Cplx* w = tw + (half - 1);
     for (int i = 0; i < n; i += len) {
-      Cplx w(1.0, 0.0);
-      for (int k = 0; k < len / 2; ++k) {
+      for (int k = 0; k < half; ++k) {
         const Cplx u = a[i + k];
-        const Cplx v = a[i + k + len / 2] * w;
+        const Cplx v = a[i + k + half] * w[k];
         a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wl;
+        a[i + k + half] = u - v;
       }
     }
   }
 }
-
-double fft_flops(int n) { return 5.0 * n * std::log2(static_cast<double>(n)); }
-
-}  // namespace
 
 sim::Task<Result> ft(mpi::Communicator& world, pmi::Context& ctx, Class cls) {
   const FtConfig cfg = ft_config(cls);

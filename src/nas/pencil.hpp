@@ -1,5 +1,5 @@
-// Shared pencil-transpose helper for the ADI solvers (SP, BT) and tri- /
-// block-tridiagonal line solvers.
+// Shared pencil-transpose helper for the ADI solvers (SP, BT) and their
+// factored tri- / block-tridiagonal line solvers.
 //
 // Fields live in z-slab layout  in[z_local][y][x][K]  (K components, K
 // fastest).  The z sweep needs whole z lines, so the field is globally
@@ -7,6 +7,7 @@
 // the same redistribution NAS SP/BT perform between directional sweeps.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -97,28 +98,129 @@ inline sim::Task<void> transpose_zx(mpi::Communicator& world, int nx, int ny,
   }
 }
 
-/// Thomas algorithm for the constant-coefficient tridiagonal system
-/// (1 + 2a) x_i - a x_{i-1} - a x_{i+1} = d_i  (Dirichlet ends), solved in
-/// place over a strided vector d[0..n) with stride `stride` doubles.
-inline void thomas_scalar(double a, int n, double* d, int stride) {
-  thread_local std::vector<double> c;
-  if (static_cast<int>(c.size()) < n) c.resize(static_cast<std::size_t>(n));
-  const double b = 1.0 + 2.0 * a;
-  c[0] = -a / b;
-  d[0] /= b;
-  for (int i = 1; i < n; ++i) {
-    const double m = 1.0 / (b + a * c[static_cast<std::size_t>(i - 1)]);
-    c[static_cast<std::size_t>(i)] = -a * m;
-    d[static_cast<std::size_t>(i) * static_cast<std::size_t>(stride)] =
-        (d[static_cast<std::size_t>(i) * static_cast<std::size_t>(stride)] +
-         a * d[static_cast<std::size_t>(i - 1) *
-               static_cast<std::size_t>(stride)]) *
-        m;
+/// Pivots of the Thomas algorithm for the constant-coefficient tridiagonal
+/// system  (1 + 2a) x_i - a x_{i-1} - a x_{i+1} = d_i  (Dirichlet ends) on
+/// lines of length n.  c[i] and m[i] = 1 / (b + a c[i-1]) depend only on a
+/// and i, so one factorization serves every line of every sweep (m[0] is
+/// unused: the first row divides by b).
+struct ScalarFactors {
+  double a = 0, b = 0;
+  std::vector<double> c, m;
+};
+
+inline ScalarFactors factor_scalar(double a, int n) {
+  const auto len = static_cast<std::size_t>(n);
+  ScalarFactors f{a, 1.0 + 2.0 * a, std::vector<double>(len),
+                  std::vector<double>(len)};
+  f.c[0] = -a / f.b;
+  for (std::size_t i = 1; i < len; ++i) {
+    f.m[i] = 1.0 / (f.b + a * f.c[i - 1]);
+    f.c[i] = -a * f.m[i];
   }
-  for (int i = n - 2; i >= 0; --i) {
-    d[static_cast<std::size_t>(i) * static_cast<std::size_t>(stride)] -=
-        c[static_cast<std::size_t>(i)] *
-        d[static_cast<std::size_t>(i + 1) * static_cast<std::size_t>(stride)];
+  return f;
+}
+
+/// Solves the factored system in place over a strided vector d[0..n) with
+/// stride `stride` doubles.
+inline void thomas_scalar(const ScalarFactors& f, double* d, int stride) {
+  const std::size_t n = f.c.size();
+  const auto s = static_cast<std::size_t>(stride);
+  d[0] /= f.b;
+  for (std::size_t i = 1; i < n; ++i) {
+    d[i * s] = (d[i * s] + f.a * d[(i - 1) * s]) * f.m[i];
+  }
+  for (std::size_t i = n - 1; i-- > 0;) d[i * s] -= f.c[i] * d[(i + 1) * s];
+}
+
+using M3 = std::array<double, 9>;  // row-major 3x3
+using V3 = std::array<double, 3>;
+
+inline M3 mat_mul(const M3& a, const M3& b) {
+  M3 c{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      double s = 0;
+      for (std::size_t k = 0; k < 3; ++k) s += a[i * 3 + k] * b[k * 3 + j];
+      c[i * 3 + j] = s;
+    }
+  }
+  return c;
+}
+
+inline V3 mat_vec(const M3& a, const V3& v) {
+  V3 r{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    r[i] = a[i * 3] * v[0] + a[i * 3 + 1] * v[1] + a[i * 3 + 2] * v[2];
+  }
+  return r;
+}
+
+inline M3 mat_inv(const M3& m) {
+  const double a = m[0], b = m[1], c = m[2], d = m[3], e = m[4], f = m[5],
+               g = m[6], h = m[7], i = m[8];
+  const double det =
+      a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g);
+  const double s = 1.0 / det;
+  return M3{(e * i - f * h) * s, (c * h - b * i) * s, (b * f - c * e) * s,
+            (f * g - d * i) * s, (a * i - c * g) * s, (c * d - a * f) * s,
+            (d * h - e * g) * s, (b * g - a * h) * s, (a * e - b * d) * s};
+}
+
+inline M3 mat_sub(const M3& a, const M3& b) {
+  M3 c;
+  for (std::size_t k = 0; k < 9; ++k) c[k] = a[k] - b[k];
+  return c;
+}
+
+/// Pivots of the block Thomas algorithm for the constant-block system
+/// diag x_i - off x_{i-1} - off x_{i+1} = d_i  on lines of length n:
+/// inv[i] inverts the i-th pivot block  diag - off cp[i-1]  and
+/// cp[i] = inv[i] off.  Like the scalar pivots they depend only on the
+/// blocks and on i, so one factorization serves every line.
+struct BlockFactors {
+  M3 off{};
+  std::vector<M3> inv, cp;
+};
+
+inline BlockFactors factor_block(const M3& diag, const M3& off, int n) {
+  const auto len = static_cast<std::size_t>(n);
+  BlockFactors f{off, std::vector<M3>(len), std::vector<M3>(len)};
+  f.inv[0] = mat_inv(diag);
+  f.cp[0] = mat_mul(f.inv[0], off);
+  for (std::size_t i = 1; i < len; ++i) {
+    f.inv[i] = mat_inv(mat_sub(diag, mat_mul(off, f.cp[i - 1])));
+    f.cp[i] = mat_mul(f.inv[i], off);
+  }
+  return f;
+}
+
+/// Solves the factored system in place over the 3-vectors d[0..n) with
+/// element stride `stride` vectors.
+inline void thomas_block(const BlockFactors& f, double* d, int stride) {
+  const std::size_t n = f.inv.size();
+  const std::size_t s = static_cast<std::size_t>(stride) * 3;
+  auto load = [&](std::size_t i) {
+    return V3{d[i * s], d[i * s + 1], d[i * s + 2]};
+  };
+  auto store = [&](std::size_t i, const V3& v) {
+    d[i * s] = v[0];
+    d[i * s + 1] = v[1];
+    d[i * s + 2] = v[2];
+  };
+  // Forward elimination.
+  store(0, mat_vec(f.inv[0], load(0)));
+  for (std::size_t i = 1; i < n; ++i) {
+    const V3 cur = load(i);
+    const V3 carry = mat_vec(f.off, load(i - 1));
+    store(i, mat_vec(f.inv[i], V3{cur[0] + carry[0], cur[1] + carry[1],
+                                  cur[2] + carry[2]}));
+  }
+  // Back substitution.
+  for (std::size_t i = n - 1; i-- > 0;) {
+    const V3 corr = mat_vec(f.cp[i], load(i + 1));
+    d[i * s] -= corr[0];
+    d[i * s + 1] -= corr[1];
+    d[i * s + 2] -= corr[2];
   }
 }
 

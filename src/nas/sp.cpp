@@ -49,6 +49,7 @@ sim::Task<Result> sp(mpi::Communicator& world, pmi::Context& ctx, Class cls) {
   const int nzl = n / p;
   const int nxl = n / p;
   const double a = 0.5;  // diffusion number per sweep
+  const ScalarFactors pivots = factor_scalar(a, n);
 
   auto zidx = [&](int z, int y, int x) {
     return (static_cast<std::size_t>(z) * n + y) * n + x;
@@ -93,14 +94,14 @@ sim::Task<Result> sp(mpi::Communicator& world, pmi::Context& ctx, Class cls) {
     // x sweep (lines contiguous in the z-slab layout).
     for (int z = 0; z < nzl; ++z) {
       for (int y = 0; y < n; ++y) {
-        thomas_scalar(a, n, &u[zidx(z, y, 0)], 1);
+        thomas_scalar(pivots, &u[zidx(z, y, 0)], 1);
       }
     }
     co_await charge(ctx, 8.0 * nzl * n * n);
     // y sweep (stride n).
     for (int z = 0; z < nzl; ++z) {
       for (int x = 0; x < n; ++x) {
-        thomas_scalar(a, n, &u[zidx(z, 0, x)], n);
+        thomas_scalar(pivots, &u[zidx(z, 0, x)], n);
       }
     }
     co_await charge(ctx, 8.0 * nzl * n * n);
@@ -110,7 +111,7 @@ sim::Task<Result> sp(mpi::Communicator& world, pmi::Context& ctx, Class cls) {
     co_await charge(ctx, 4.0 * nzl * n * n);
     for (int xl = 0; xl < nxl; ++xl) {
       for (int y = 0; y < n; ++y) {
-        thomas_scalar(a, n, &tr[xidx(xl, y, 0)], 1);
+        thomas_scalar(pivots, &tr[xidx(xl, y, 0)], 1);
       }
     }
     co_await charge(ctx, 8.0 * nxl * n * n);

@@ -154,8 +154,12 @@ TEST_P(NasFaultDesignTest, StuckRecoverySurfacesDeadWithSnapshot) {
   EXPECT_GE(rr.watchdog_trips, 1u);
   // The first failure carries the episode diagnostics.
   ASSERT_TRUE(rr.send_error ? rr.send_snapshot : rr.recv_snapshot);
-  if (rr.send_error) EXPECT_EQ(rr.send_kind, rdmach::ChannelError::kDead);
-  if (rr.recv_error) EXPECT_EQ(rr.recv_kind, rdmach::ChannelError::kDead);
+  if (rr.send_error) {
+    EXPECT_EQ(rr.send_kind, rdmach::ChannelError::kDead);
+  }
+  if (rr.recv_error) {
+    EXPECT_EQ(rr.recv_kind, rdmach::ChannelError::kDead);
+  }
   EXPECT_EQ(rr.first_snapshot.stage.rfind("watchdog:", 0), 0u)
       << rr.first_snapshot.to_string();
   EXPECT_EQ(rr.first_snapshot.live_rails, 0);

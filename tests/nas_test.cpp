@@ -1,13 +1,24 @@
 // NAS kernel tests: every kernel must self-verify on class S over several
 // process counts and over the three stacks the paper compares in Figures
-// 16/17 (pipelining, RDMA-channel zero-copy, CH3 zero-copy), plus basic
-// sanity of the NAS random-number generator.
+// 16/17 (pipelining, RDMA-channel zero-copy, CH3 zero-copy), plus the
+// exactness of the NAS random-number generator, the factored line solvers
+// and the tabulated FFT against the algorithms they replaced, and pinned
+// class S results.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <complex>
+#include <cstdint>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "ib/fabric.hpp"
 #include "mpi/runtime.hpp"
+#include "nas/fft.hpp"
 #include "nas/nas.hpp"
 #include "nas/nas_random.hpp"
+#include "nas/pencil.hpp"
 #include "pmi/pmi.hpp"
 
 namespace nas {
@@ -64,6 +75,227 @@ TEST(NasRandom, StreamSlicesAreConsistent) {
   }
 }
 
+// The classic NPB generator step: 46-bit modular multiplication emulated
+// exactly in doubles by splitting a and x into 23-bit halves.  The oracle
+// the integer step must match bit for bit.
+double randlc_split(double* x, double a) {
+  constexpr double r23 = 1.0 / 8388608.0;  // 2^-23
+  constexpr double t23 = 8388608.0;        // 2^23
+  constexpr double r46 = r23 * r23;
+  constexpr double t46 = t23 * t23;
+  const double a1 = static_cast<double>(static_cast<std::int64_t>(r23 * a));
+  const double a2 = a - t23 * a1;
+  const double x1 = static_cast<double>(static_cast<std::int64_t>(r23 * *x));
+  const double x2 = *x - t23 * x1;
+  const double t1 = a1 * x2 + a2 * x1;
+  const double t2 = static_cast<double>(static_cast<std::int64_t>(r23 * t1));
+  const double z = t1 - t23 * t2;
+  const double t3 = t23 * z + a2 * x2;
+  const double t4 = static_cast<double>(static_cast<std::int64_t>(r46 * t3));
+  *x = t3 - t46 * t4;
+  return r46 * (*x);
+}
+
+TEST(NasRandom, IntegerStepMatchesDoubleSplit) {
+  constexpr std::uint64_t kMask46 = (std::uint64_t{1} << 46) - 1;
+  std::mt19937_64 rng(46);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const auto a = static_cast<double>(rng() & kMask46);
+    double xi = static_cast<double>(rng() & kMask46);
+    double xs = xi;
+    const double ri = randlc(&xi, a);
+    const double rs = randlc_split(&xs, a);
+    ASSERT_EQ(ri, rs) << "pair " << i << ", a = " << a;
+    ASSERT_EQ(xi, xs) << "pair " << i << ", a = " << a;
+  }
+  // The default stream every kernel draws from.
+  double xi = 314159265.0;
+  double xs = xi;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double ri = randlc(&xi, kDefaultA);
+    const double rs = randlc_split(&xs, kDefaultA);
+    ASSERT_EQ(ri, rs) << "step " << i;
+    ASSERT_EQ(xi, xs) << "step " << i;
+  }
+  // The seed advance equals stepping the oracle one by one.
+  for (const std::int64_t exp :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}, std::int64_t{3},
+        std::int64_t{1000}, (std::int64_t{1} << 20) + 7}) {
+    double stepped = 271828183.0;
+    for (std::int64_t i = 0; i < exp; ++i) {
+      (void)randlc_split(&stepped, kDefaultA);
+    }
+    EXPECT_EQ(advance_seed(271828183.0, kDefaultA, exp), stepped)
+        << "exp = " << exp;
+  }
+}
+
+// The line solvers as the kernels ran them before the pivots were factored
+// out: every line recomputes the same pivots.  Oracles for the factored
+// solvers in nas/pencil.hpp.
+void thomas_scalar_per_line(double a, int n, double* d, int stride) {
+  std::vector<double> c(static_cast<std::size_t>(n));
+  const auto s = static_cast<std::size_t>(stride);
+  const double b = 1.0 + 2.0 * a;
+  c[0] = -a / b;
+  d[0] /= b;
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    const double m = 1.0 / (b + a * c[i - 1]);
+    c[i] = -a * m;
+    d[i * s] = (d[i * s] + a * d[(i - 1) * s]) * m;
+  }
+  for (int i = n - 2; i >= 0; --i) {
+    const auto k = static_cast<std::size_t>(i);
+    d[k * s] -= c[k] * d[(k + 1) * s];
+  }
+}
+
+void thomas_block_per_line(const M3& diag, const M3& off, int n, double* d,
+                           int stride) {
+  std::vector<M3> cp(static_cast<std::size_t>(n));
+  auto vec_at = [&](int i) {
+    return d + static_cast<std::size_t>(i) * static_cast<std::size_t>(stride) *
+                   3;
+  };
+  auto store = [](double* p, const V3& r) {
+    p[0] = r[0];
+    p[1] = r[1];
+    p[2] = r[2];
+  };
+  M3 inv = mat_inv(diag);
+  cp[0] = mat_mul(inv, off);
+  store(vec_at(0),
+        mat_vec(inv, V3{vec_at(0)[0], vec_at(0)[1], vec_at(0)[2]}));
+  for (int i = 1; i < n; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    inv = mat_inv(mat_sub(diag, mat_mul(off, cp[k - 1])));
+    cp[k] = mat_mul(inv, off);
+    const V3 prev{vec_at(i - 1)[0], vec_at(i - 1)[1], vec_at(i - 1)[2]};
+    const V3 cur{vec_at(i)[0], vec_at(i)[1], vec_at(i)[2]};
+    const V3 carry = mat_vec(off, prev);
+    store(vec_at(i), mat_vec(inv, V3{cur[0] + carry[0], cur[1] + carry[1],
+                                     cur[2] + carry[2]}));
+  }
+  for (int i = n - 2; i >= 0; --i) {
+    const V3 next{vec_at(i + 1)[0], vec_at(i + 1)[1], vec_at(i + 1)[2]};
+    const V3 corr = mat_vec(cp[static_cast<std::size_t>(i)], next);
+    vec_at(i)[0] -= corr[0];
+    vec_at(i)[1] -= corr[1];
+    vec_at(i)[2] -= corr[2];
+  }
+}
+
+// n x n seeded lines of K components each: line j starts at j * n * K with
+// stride 1 (contiguous rows) or at j * K with stride n (columns).
+std::vector<double> random_lines(int n, int K, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> v(static_cast<std::size_t>(n) * n * K);
+  for (double& x : v) x = dist(rng);
+  return v;
+}
+
+std::size_t line_start(int j, int n, int K, int stride) {
+  return static_cast<std::size_t>(j) * K * (stride == 1 ? n : 1);
+}
+
+TEST(NasSolvers, FactoredScalarSolveMatchesPerLine) {
+  for (const double a : {0.5, 0.37}) {
+    for (const int n : {12, 16, 32, 48}) {
+      const ScalarFactors f = factor_scalar(a, n);
+      for (const int stride : {1, n}) {
+        std::vector<double> got = random_lines(n, 1, 7u * n + stride);
+        std::vector<double> want = got;
+        for (int j = 0; j < n; ++j) {
+          thomas_scalar(f, &got[line_start(j, n, 1, stride)], stride);
+          thomas_scalar_per_line(a, n, &want[line_start(j, n, 1, stride)],
+                                 stride);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "a = " << a << ", n = " << n << ", stride = " << stride;
+      }
+    }
+  }
+}
+
+TEST(NasSolvers, FactoredBlockSolveMatchesPerLine) {
+  // BT's blocks: diag = I + 2aC, off = aC for the SPD coupling C.
+  const M3 coupling{2.0, 0.3, 0.1, 0.3, 2.0, 0.3, 0.1, 0.3, 2.0};
+  for (const double a : {0.4, 0.23}) {
+    M3 diag{};
+    M3 off{};
+    for (std::size_t k = 0; k < 9; ++k) {
+      off[k] = a * coupling[k];
+      diag[k] = 2.0 * off[k];
+    }
+    diag[0] += 1.0;
+    diag[4] += 1.0;
+    diag[8] += 1.0;
+    for (const int n : {12, 24, 32, 48}) {
+      const BlockFactors f = factor_block(diag, off, n);
+      for (const int stride : {1, n}) {
+        std::vector<double> got = random_lines(n, 3, 11u * n + stride);
+        std::vector<double> want = got;
+        for (int j = 0; j < n; ++j) {
+          thomas_block(f, &got[line_start(j, n, 3, stride)], stride);
+          thomas_block_per_line(diag, off, n,
+                                &want[line_start(j, n, 3, stride)], stride);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "a = " << a << ", n = " << n << ", stride = " << stride;
+      }
+    }
+  }
+}
+
+// The radix-2 FFT as FT ran it before its twiddles were tabulated: every
+// butterfly block rebuilds w by repeated multiplication.
+void fft1d_inline_twiddles(std::complex<double>* a, int n, int sign) {
+  using Cplx = std::complex<double>;
+  for (int i = 1, j = 0; i < n; ++i) {
+    int bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+  for (int len = 2; len <= n; len <<= 1) {
+    const double ang = sign * 2.0 * M_PI / len;
+    const Cplx wl(std::cos(ang), std::sin(ang));
+    for (int i = 0; i < n; i += len) {
+      Cplx w(1.0, 0.0);
+      for (int k = 0; k < len / 2; ++k) {
+        const Cplx u = a[i + k];
+        const Cplx v = a[i + k + len / 2] * w;
+        a[i + k] = u + v;
+        a[i + k + len / 2] = u - v;
+        w *= wl;
+      }
+    }
+  }
+}
+
+TEST(NasFft, TabulatedTwiddlesMatchInline) {
+  std::mt19937 rng(2004);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (int n = 1; n <= kMaxFftLen; n <<= 1) {
+    for (const int sign : {-1, +1}) {
+      std::vector<std::complex<double>> got(static_cast<std::size_t>(n));
+      for (auto& c : got) c = {dist(rng), dist(rng)};
+      std::vector<std::complex<double>> want = got;
+      fft1d(got.data(), n, sign);
+      fft1d_inline_twiddles(want.data(), n, sign);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(got[0])),
+                0)
+          << "n = " << n << ", sign = " << sign;
+    }
+  }
+}
+
 struct KernelParam {
   const char* name;
   int nprocs;
@@ -116,6 +348,36 @@ TEST(NasStacks, AllThreePaperDesignsVerifyOnClassS) {
           << name << " on " << ch3::to_string(stack) << "/"
           << rdmach::to_string(design) << ": " << r.detail;
     }
+  }
+}
+
+TEST(NasKernels, ClassSResultsUnchanged) {
+  // Every kernel's class S result on 4 ranks, captured before the generator
+  // became integer arithmetic and the line-solve pivots and FFT twiddles
+  // were tabulated.  Those changes are exact, so nothing here may move: not
+  // a result digit and not a nanosecond of virtual time.
+  struct Pinned {
+    const char* name;
+    const char* detail;
+    double time_sec;
+  };
+  const Pinned pinned[] = {
+      {"ep", "sx=187.319897", 0x1.ba8695ff5113dp-9},
+      {"is", "keys=65536", 0x1.84aa222777e9p-9},
+      {"cg", "r/r0=0.000000", 0x1.881e9ecb50f5p-9},
+      {"mg", "r/r0=0.005674", 0x1.58a02989bf0edp-8},
+      {"ft", "checksum=(16440.146777,17063.269553)", 0x1.cc1edd844f25ep-9},
+      {"lu", "r/r0=0.000000", 0x1.85798b384e648p-9},
+      {"sp", "|u|/|u0|=0.528487", 0x1.bbea0242d24bcp-10},
+      {"bt", "|u|/|u0|=0.000000", 0x1.e2c77403878b5p-9},
+  };
+  for (const Pinned& p : pinned) {
+    const Result r = run_kernel(
+        p.name, 4, Class::S,
+        stack_cfg(ch3::Stack::kRdmaChannel, rdmach::Design::kZeroCopy));
+    EXPECT_TRUE(r.verified) << p.name << ": " << r.detail;
+    EXPECT_EQ(r.detail, p.detail) << p.name;
+    EXPECT_EQ(r.time_sec, p.time_sec) << p.name;
   }
 }
 
