@@ -28,17 +28,30 @@ sim::BufferPool::Buffer gather(sim::BufferPool& pool,
   return out;
 }
 
-/// Scatters a staging buffer into an SGE list; returns bytes placed.
-std::size_t scatter(const std::vector<std::byte>& data,
+/// Scatters `len` bytes from `data` into an SGE list; returns bytes placed.
+/// memmove, not memcpy: a read response is placed straight from responder
+/// memory, which on one host may alias the destination.
+std::size_t scatter(const std::byte* data, std::size_t len,
                     const std::vector<Sge>& sgl) {
   std::size_t off = 0;
   for (const auto& s : sgl) {
-    if (off >= data.size()) break;
-    const std::size_t n = std::min(s.length, data.size() - off);
-    std::memcpy(s.addr, data.data() + off, n);
+    if (off >= len) break;
+    const std::size_t n = std::min(s.length, len - off);
+    std::memmove(s.addr, data + off, n);
     off += n;
   }
   return off;
+}
+
+/// Flips one bit of the byte at overall offset `at` of an SGE list.
+void flip_byte(const std::vector<Sge>& sgl, std::size_t at) {
+  for (const auto& s : sgl) {
+    if (at < s.length) {
+      s.addr[at] ^= std::byte{1};
+      return;
+    }
+    at -= s.length;
+  }
 }
 
 constexpr std::int64_t kCtrlBytes = 16;  // read-request packet on the wire
@@ -145,7 +158,8 @@ void QueuePair::post_recv(RecvWr wr) {
                                  Opcode::kSend, 0, qp_num_, true});
       return;
     }
-    const std::size_t n = scatter(*inbound.data, wr.sgl);
+    const std::size_t n =
+        scatter(inbound.data->data(), inbound.data->size(), wr.sgl);
     complete_now(*recv_cq_, Wc{wr.wr_id, WcStatus::kSuccess, Opcode::kSend, n,
                                qp_num_, true});
     return;
@@ -223,7 +237,7 @@ void QueuePair::deliver_send(InboundSend inbound) {
                                Opcode::kSend, 0, qp_num_, true});
     return;
   }
-  scatter(*inbound.data, wr.sgl);
+  scatter(inbound.data->data(), n, wr.sgl);
   complete_now(*recv_cq_,
                Wc{wr.wr_id, WcStatus::kSuccess, Opcode::kSend, n, qp_num_,
                   true});
@@ -554,7 +568,8 @@ sim::Task<void> QueuePair::responder_engine() {
     QueuePair* initiator = peer_;
     if (mr == nullptr || !mr->contains(req.remote_addr, n) ||
         (mr->access() & need) == 0) {
-      sim.call_at(sim.now() + cfg.wire_latency, [initiator, req] {
+      sim.call_at(sim.now() + cfg.wire_latency,
+                  [initiator, req = std::move(req)] {
         initiator->complete_now(
             initiator->send_cq(),
             Wc{req.wr_id, WcStatus::kRemoteAccessError, req.op, 0,
@@ -568,32 +583,39 @@ sim::Task<void> QueuePair::responder_engine() {
     fabric.tracer().record(sim.now(), tag,
                            is_atomic ? "atomic_response" : "read_response",
                            static_cast<std::int64_t>(n), req.wr_id);
-    auto staging = sim.buffer_pool().acquire(n);
+    std::uint64_t old = 0;
     if (is_atomic) {
       // Execute the atomic at the responder: read-modify-write is a single
       // event in virtual time, so it is atomic with respect to every other
-      // simulated agent -- exactly the HCA's guarantee.
+      // simulated agent -- exactly the HCA's guarantee.  The old value
+      // travels with the response and lands at delivery.
       auto* target = reinterpret_cast<std::uint64_t*>(req.remote_addr);
-      const std::uint64_t old = *target;
+      old = *target;
       if (req.op == Opcode::kFetchAdd) {
         *target = old + req.atomic_arg;
       } else if (old == req.atomic_arg) {
         *target = req.atomic_swap;
       }
-      std::memcpy(staging->data(), &old, 8);
     } else {
-      std::memcpy(staging->data(),
-                  reinterpret_cast<const std::byte*>(req.remote_addr), n);
-    }
-    if (req.corrupt && n > 0) {
-      (*staging)[n / 2] ^= std::byte{1};
-      fabric.tracer().record(sim.now(), tag, "fault_corrupt",
-                             static_cast<std::int64_t>(n), req.wr_id);
+      // The response samples responder memory here, at turnaround, and is
+      // placed straight into the initiator's destination: one copy, no
+      // staging.  Only the CQE waits for delivery; the destination belongs
+      // to the HCA until then, so no correct reader sees it early.
+      scatter(reinterpret_cast<const std::byte*>(req.remote_addr), n,
+              req.dest_sgl);
+      if (req.corrupt && n > 0) {
+        flip_byte(req.dest_sgl, n / 2);
+        fabric.tracer().record(sim.now(), tag, "fault_corrupt",
+                               static_cast<std::int64_t>(n), req.wr_id);
+      }
     }
     const sim::Tick delivered = co_await fabric.book_path(
         *port_, *initiator->port_, static_cast<std::int64_t>(n), req.deg);
-    sim.call_at(delivered, [staging, initiator, req, n] {
-      scatter(*staging, req.dest_sgl);
+    sim.call_at(delivered, [initiator, req = std::move(req), n, old] {
+      if (req.op != Opcode::kRdmaRead) {
+        scatter(reinterpret_cast<const std::byte*>(&old), sizeof old,
+                req.dest_sgl);
+      }
       initiator->node().dma_arrival().fire();
       initiator->read_done();
       if (req.signaled) {

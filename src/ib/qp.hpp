@@ -10,9 +10,9 @@
 //
 // Engine structure (all virtual-time, spawned when connect() is called):
 //   * send_engine      -- drains the send queue in order; per WQE charges
-//                         wqe_overhead, validates, snapshots source data
-//                         (HW reads at DMA time; we read at post for
-//                         determinism), then books the staged data path
+//                         wqe_overhead, validates, snapshots the source of
+//                         a write or send (HW reads at DMA time; we read at
+//                         post for determinism), then books the data path
 //                         src-bus -> tx-link -> wire -> rx-link -> dst-bus
 //                         chunk by chunk.  The engine moves to the next WQE
 //                         as soon as the source-side stages are booked, so
@@ -22,6 +22,11 @@
 //                         overhead, then streams data back through this
 //                         side's tx link, contending with its own sends --
 //                         the cause of the read-vs-write gap in Fig. 15).
+//                         A read response is not staged: at turnaround the
+//                         responder's bytes are placed straight into the
+//                         initiator's destination, and only the CQE waits
+//                         for the modelled delivery.  Atomics execute at
+//                         turnaround and write the old value at delivery.
 //
 // A protection failure completes the WQE with an error status and moves the
 // QP to the error state; subsequently posted WQEs complete with
@@ -47,6 +52,7 @@
 #include "ib/mr.hpp"
 #include "ib/types.hpp"
 #include "sim/fault.hpp"
+#include "sim/pool.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -127,7 +133,8 @@ class QueuePair {
     bool signaled = true;
     std::uint64_t atomic_arg = 0;
     std::uint64_t atomic_swap = 0;
-    /// Injected fault: flip a payload bit in the read response.
+    /// Injected fault: flip the bit at payload offset n/2 of a read
+    /// response (set for reads only).
     bool corrupt = false;
     /// Gray-failure degrade composed at the initiator; the responder books
     /// the reply leg with it too (a degraded path is slow both ways).
@@ -137,7 +144,7 @@ class QueuePair {
   struct InboundSend {
     /// Pooled staging buffer (sim::BufferPool): releasing the last
     /// reference returns the storage to the simulator's free list.
-    std::shared_ptr<std::vector<std::byte>> data;
+    sim::BufferPool::Buffer data;
   };
 
   sim::Task<void> send_engine();
@@ -156,7 +163,6 @@ class QueuePair {
                       std::uint64_t wr_id, Opcode op);
   void enter_error();
   void deliver_send(InboundSend inbound);
-  void match_recv();
 
   Hca* hca_;
   Port* port_;

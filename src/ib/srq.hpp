@@ -19,7 +19,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "ib/buffer.hpp"
+#include "sim/buffer.hpp"
 
 namespace ib {
 
@@ -92,7 +92,7 @@ class SharedRecvPool {
       std::numeric_limits<std::size_t>::max();
 
   std::size_t ring_bytes_ = 0;
-  UninitBytes storage_;
+  sim::UninitBytes storage_;
   std::vector<std::size_t> next_;
   std::size_t free_head_ = 0;
   std::size_t leased_ = 0;

@@ -1038,7 +1038,7 @@ sim::Task<void> VerbsChannelBase::lazy_teardown(VerbsConnection& c) {
   c.ring_mr = nullptr;
   c.rx = nullptr;
   std::vector<std::byte>().swap(c.recv_ring);
-  ib::UninitBytes().swap(c.staging);
+  sim::UninitBytes().swap(c.staging);
   // The journal restarts from zero on both sides symmetrically; eviction
   // only ever fires on a fully-drained, fully-acknowledged connection, so
   // this loses bookkeeping, not data.

@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ib/buffer.hpp"
 #include "ib/cq.hpp"
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
@@ -35,6 +34,7 @@
 #include "ib/qp.hpp"
 #include "ib/srq.hpp"
 #include "rdmach/channel.hpp"
+#include "sim/buffer.hpp"
 
 namespace rdmach {
 
@@ -73,7 +73,7 @@ class VerbsConnection : public Connection {
   std::vector<std::byte> recv_ring;  // peer RDMA-writes message data here
   /// Preregistered send-side copy buffer.  Not zero-filled: every byte is
   /// written before it is posted or checksummed.
-  ib::UninitBytes staging;
+  sim::UninitBytes staging;
   CtrlBlock ctrl;
   ib::MemoryRegion* ring_mr = nullptr;
   ib::MemoryRegion* staging_mr = nullptr;

@@ -1,10 +1,10 @@
 // Byte buffers that are allocated without being zero-filled.
 //
-// Rings, staging buffers and pool storage are registered memory the model
-// hands out by the hundreds of KiB.  A std::vector<std::byte> writes every
-// byte on resize, which touches every page of memory no reader may ever
-// look at.  UninitBytes allocates the same bytes and leaves them as the
-// allocator returned them; whoever hands them to a reader writes them first.
+// Rings, staging buffers and pool storage are memory the model hands out by
+// the hundreds of KiB.  A std::vector<std::byte> writes every byte on
+// resize, which touches every page of memory no reader may ever look at.
+// UninitBytes allocates the same bytes and leaves them as the allocator
+// returned them; whoever hands them to a reader writes them first.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +12,7 @@
 #include <new>
 #include <vector>
 
-namespace ib {
+namespace sim {
 
 /// std::allocator whose value-initialisation is default-initialisation, so
 /// resize() allocates without writing.  Construction with arguments (e.g.
@@ -35,4 +35,4 @@ struct UninitAllocator : std::allocator<T> {
 
 using UninitBytes = std::vector<std::byte, UninitAllocator<std::byte>>;
 
-}  // namespace ib
+}  // namespace sim

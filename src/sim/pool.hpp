@@ -1,13 +1,15 @@
 // Free-list buffer pool for the DES hot path.
 //
 // At 256-1024 simulated ranks the dominant allocator traffic is the HCA
-// engines' per-WQE staging buffers (gather/scatter copies of every RDMA
-// write, send, and read response).  BufferPool recycles those vectors: an
-// acquire() reuses a previously released buffer's storage when one is
-// available and only falls back to the allocator on a miss.  Buffers are
-// handed out as shared_ptrs whose deleter returns the storage to the pool,
-// so a buffer captured by a delivery event queued behind the pool's owner
-// still dies safely: the free list is held alive by the deleter itself.
+// engines' per-WQE staging buffers (the gathered payload of every RDMA write
+// and send; read responses land in their destination unstaged).  BufferPool
+// recycles those vectors: an acquire() reuses a previously released buffer's
+// storage when one is available and only falls back to the allocator on a
+// miss.  Storage is UninitBytes, so neither a miss nor a grown hit writes
+// the bytes.  Buffers are handed out as shared_ptrs whose deleter returns
+// the storage to the pool, so a buffer captured by a delivery event queued
+// behind the pool's owner still dies safely: the free list is held alive by
+// the deleter itself.
 //
 // Not thread-safe (the simulation is single-threaded by construction).
 #pragma once
@@ -17,30 +19,32 @@
 #include <memory>
 #include <vector>
 
+#include "sim/buffer.hpp"
+
 namespace sim {
 
 class BufferPool {
  public:
-  using Buffer = std::shared_ptr<std::vector<std::byte>>;
+  using Buffer = std::shared_ptr<UninitBytes>;
 
-  /// A buffer of exactly `n` bytes (contents unspecified -- every user
-  /// overwrites the full extent before reading).  Returns pooled storage
-  /// when available, allocating only on a miss.
+  /// A buffer of exactly `n` bytes (contents unspecified and not written
+  /// here -- every user overwrites the full extent before reading).
+  /// Returns pooled storage when available, allocating only on a miss.
   Buffer acquire(std::size_t n) {
-    std::vector<std::byte>* v = nullptr;
+    UninitBytes* v = nullptr;
     if (!state_->free.empty()) {
       v = state_->free.back().release();
       state_->free.pop_back();
       ++state_->hits;
     } else {
-      v = new std::vector<std::byte>();
+      v = new UninitBytes();
       ++state_->misses;
     }
     v->resize(n);
     // The deleter owns a reference to the shared free-list state, not to
     // the pool object: buffers may outlive the BufferPool's owner.
     auto st = state_;
-    return Buffer(v, [st](std::vector<std::byte>* p) {
+    return Buffer(v, [st](UninitBytes* p) {
       if (st->free.size() < kMaxFree) {
         st->free.emplace_back(p);
       } else {
@@ -58,7 +62,7 @@ class BufferPool {
   static constexpr std::size_t kMaxFree = 4096;
 
   struct State {
-    std::vector<std::unique_ptr<std::vector<std::byte>>> free;
+    std::vector<std::unique_ptr<UninitBytes>> free;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };

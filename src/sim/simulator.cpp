@@ -1,6 +1,8 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <functional>
 
 namespace sim {
 
@@ -46,11 +48,14 @@ Simulator::~Simulator() {
 }
 
 void Simulator::schedule(Tick at, std::coroutine_handle<> h) {
-  queue_.push(Event{at < now_ ? now_ : at, next_seq_++, h, nullptr});
+  queue_.push_back(Event{at < now_ ? now_ : at, next_seq_++, h, nullptr});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
 }
 
 void Simulator::call_at(Tick at, std::function<void()> fn) {
-  queue_.push(Event{at < now_ ? now_ : at, next_seq_++, nullptr, std::move(fn)});
+  queue_.push_back(
+      Event{at < now_ ? now_ : at, next_seq_++, nullptr, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
 }
 
 void Simulator::adopt(Task<void> proc, std::string name, bool daemon) {
@@ -83,9 +88,10 @@ std::size_t Simulator::live_root_processes() const noexcept {
 
 void Simulator::drain(Tick limit, bool bounded) {
   while (!queue_.empty()) {
-    if (bounded && queue_.top().at > limit) break;
-    Event ev = queue_.top();
-    queue_.pop();
+    if (bounded && queue_.front().at > limit) break;
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     now_ = ev.at;
     ++events_processed_;
     if (ev.h) {

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -149,7 +148,9 @@ class Simulator {
   // state itself is shared_ptr-owned, so even this ordering is belt and
   // braces).
   BufferPool pool_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  // Binary min-heap on (at, seq) kept with std::push_heap/pop_heap, so
+  // drain() can move an event out instead of copying its std::function.
+  std::vector<Event> queue_;
   std::vector<std::unique_ptr<ProcessState>> processes_;
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -11,12 +11,20 @@
 // Exceptions propagate through co_await exactly like ordinary calls; an
 // exception escaping a detached root process aborts Simulator::run with a
 // ProcessError.
+//
+// Every call of a Task coroutine allocates a frame.  Frames are recycled
+// through FramePool instead of going back to malloc (see below).
 #pragma once
 
+#include <sanitizer/asan_interface.h>
+
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace sim {
 
@@ -40,9 +48,58 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
+/// Free lists of coroutine frames, one per 64-byte size class.  The
+/// simulation runs the same few coroutines over and over, so a released
+/// frame is kept for the next call of the same size class rather than
+/// freed.  Frames above the largest class come from ::operator new.  Not
+/// thread-safe: the simulation is single-threaded by construction.  Under
+/// ASan a pooled frame stays poisoned until it is handed out again, so a
+/// frame used after its coroutine ended is still reported.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kClasses = 64;  // pooled frames up to 4 KiB
+
+  static void* allocate(std::size_t n) {
+    const std::size_t c = (n - 1) / kGranule;
+    if (c >= kClasses) return ::operator new(n);
+    std::vector<void*>& free = free_list(c);
+    if (free.empty()) return ::operator new((c + 1) * kGranule);
+    void* p = free.back();
+    free.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(p, (c + 1) * kGranule);
+    return p;
+  }
+
+  static void release(void* p, std::size_t n) noexcept {
+    const std::size_t c = (n - 1) / kGranule;
+    if (c >= kClasses) {
+      ::operator delete(p, n);
+      return;
+    }
+    ASAN_POISON_MEMORY_REGION(p, (c + 1) * kGranule);
+    free_list(c).push_back(p);
+  }
+
+ private:
+  // The links live outside the frames, which stay poisoned whole, and the
+  // lists are never destroyed: a frame released during static destruction
+  // still finds its list, and the leak checker, which does not look inside
+  // poisoned memory, still reaches every pooled frame.
+  static std::vector<void*>& free_list(std::size_t c) {
+    static auto* lists = new std::vector<void*>[kClasses];
+    return lists[c];
+  }
+};
+
 struct PromiseBase {
   std::coroutine_handle<> continuation{};
   std::exception_ptr error{};
+
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::release(p, n);
+  }
 
   std::suspend_always initial_suspend() const noexcept { return {}; }
   FinalAwaiter final_suspend() const noexcept { return {}; }

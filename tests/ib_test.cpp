@@ -1,7 +1,7 @@
 // Unit tests for the software InfiniBand verbs layer: registration and
-// protection, RDMA write/read data paths and latencies, channel-semantics
-// send/recv, error handling (NAK, flush, injection), and the memory-bus
-// contention model.
+// protection, RDMA write/read data paths and latencies, the read-response
+// and atomic placement contract, channel-semantics send/recv, error
+// handling (NAK, flush, injection), and the memory-bus contention model.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,7 +15,9 @@
 #include "ib/node.hpp"
 #include "ib/qp.hpp"
 #include "ib/types.hpp"
+#include "sim/fault.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 
 namespace ib {
 namespace {
@@ -255,6 +257,162 @@ TEST(Rdma, ReadPullsDataAndLatencyIncludesRoundTrip) {
   p.sim.run();
   // wqe 0.8 + wire 4.1 + responder 1.5 + wire 4.1 + rx 1.0 (+ serialization)
   EXPECT_NEAR(sim::to_usec(elapsed), 11.5, 0.3);
+}
+
+TEST(Rdma, ReadSnapshotsResponderMemoryAtTurnaround) {
+  // A read response samples the responder's memory when the responder
+  // turns the request around; a store to that memory after turnaround,
+  // while the response is still on the wire, does not reach the initiator.
+  Pair p;
+  sim::TraceSink sink;
+  p.fabric.attach_tracer(&sink);
+  static std::byte remote[64];
+  static std::byte local[64];
+  std::memset(remote, 0x5a, sizeof(remote));
+  std::memset(local, 0, sizeof(local));
+  sim::Tick overwritten = 0;
+  sim::Tick completed = 0;
+  p.sim.spawn(
+      [](Pair& pr, sim::Tick& store_at, sim::Tick& cqe_at) -> sim::Task<void> {
+        MemoryRegion* ml = co_await pr.pda->register_memory(local, 64);
+        MemoryRegion* mr = co_await pr.pdb->register_memory(remote, 64);
+        pr.qpa->post_send(SendWr{3, Opcode::kRdmaRead,
+                                 {Sge{local, 64, ml->lkey()}},
+                                 reinterpret_cast<std::uint64_t>(remote),
+                                 mr->rkey(), true});
+        // Turnaround is ~6.4 us after the post, the CQE ~11.5 us.
+        pr.sim.call_at(pr.sim.now() + sim::usec(8.0), [&pr, &store_at] {
+          std::memset(remote, 0x11, sizeof(remote));
+          store_at = pr.sim.now();
+        });
+        const Wc wc = co_await pr.cqa->next();
+        cqe_at = pr.sim.now();
+        EXPECT_EQ(wc.status, WcStatus::kSuccess);
+      }(p, overwritten, completed),
+      "reader");
+  p.sim.run();
+  sim::Tick turnaround = -1;
+  for (const auto& r : sink.records()) {
+    if (r.event == "read_response") turnaround = r.at;
+  }
+  ASSERT_GE(turnaround, 0);
+  ASSERT_LT(turnaround, overwritten);
+  ASSERT_LT(overwritten, completed);
+  for (std::byte b : local) EXPECT_EQ(b, std::byte{0x5a});
+}
+
+TEST(Rdma, ReadScattersAcrossSges) {
+  // A read into a two-SGE destination fills the SGEs in order.  A corrupt
+  // fault on the read flips the byte at overall offset n/2, which here
+  // lies in the second SGE.
+  Pair p;
+  sim::FaultSchedule faults;
+  faults.corrupt("a", 1);  // the second WQE node a initiates
+  p.fabric.attach_faults(&faults);
+  static constexpr std::size_t kFirst = 100;
+  static constexpr std::size_t kN = 256;
+  static std::byte remote[kN];
+  static std::byte local[kN];
+  for (std::size_t i = 0; i < kN; ++i) remote[i] = static_cast<std::byte>(i * 7 + 1);
+  bool checked = false;
+  p.sim.spawn(
+      [](Pair& pr, bool& done) -> sim::Task<void> {
+        MemoryRegion* ml = co_await pr.pda->register_memory(local, kN);
+        MemoryRegion* mr = co_await pr.pdb->register_memory(remote, kN);
+        for (std::uint64_t id = 0; id < 2; ++id) {
+          std::memset(local, 0, kN);
+          pr.qpa->post_send(
+              SendWr{id, Opcode::kRdmaRead,
+                     {Sge{local, kFirst, ml->lkey()},
+                      Sge{local + kFirst, kN - kFirst, ml->lkey()}},
+                     reinterpret_cast<std::uint64_t>(remote), mr->rkey(),
+                     true});
+          const Wc wc = co_await pr.cqa->next();
+          EXPECT_EQ(wc.status, WcStatus::kSuccess);
+          EXPECT_EQ(wc.byte_len, kN);
+          for (std::size_t i = 0; i < kN; ++i) {
+            const std::byte flip =
+                id == 1 && i == kN / 2 ? std::byte{1} : std::byte{0};
+            EXPECT_EQ(local[i], remote[i] ^ flip) << "read " << id << " @" << i;
+          }
+        }
+        done = true;
+      }(p, checked),
+      "reader");
+  p.sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(faults.killed(), 1u);
+}
+
+TEST(Rdma, AtomicsReturnOldValueAtCompletion) {
+  // Fetch-add and compare-and-swap modify the responder's word and return
+  // its prior value into the initiator's 8-byte SGE by the CQE.
+  Pair p;
+  alignas(8) static std::uint64_t target;
+  alignas(8) static std::uint64_t result;
+  target = 10;
+  p.sim.spawn(
+      [](Pair& pr) -> sim::Task<void> {
+        MemoryRegion* ml = co_await pr.pda->register_memory(&result, 8);
+        MemoryRegion* mr = co_await pr.pdb->register_memory(&target, 8);
+        auto atomic = [&](Opcode op, std::uint64_t arg, std::uint64_t swap) {
+          result = 0xdeadbeef;
+          SendWr wr{1, op, {Sge{reinterpret_cast<std::byte*>(&result), 8,
+                                ml->lkey()}},
+                    reinterpret_cast<std::uint64_t>(&target), mr->rkey(),
+                    true};
+          wr.atomic_arg = arg;
+          wr.atomic_swap = swap;
+          pr.qpa->post_send(std::move(wr));
+        };
+        atomic(Opcode::kFetchAdd, 5, 0);
+        Wc wc = co_await pr.cqa->next();
+        EXPECT_EQ(wc.status, WcStatus::kSuccess);
+        EXPECT_EQ(result, 10u);
+        EXPECT_EQ(target, 15u);
+        atomic(Opcode::kCompareSwap, 15, 99);  // matches: swaps
+        wc = co_await pr.cqa->next();
+        EXPECT_EQ(wc.status, WcStatus::kSuccess);
+        EXPECT_EQ(result, 15u);
+        EXPECT_EQ(target, 99u);
+        atomic(Opcode::kCompareSwap, 1, 7);  // does not match: no swap
+        wc = co_await pr.cqa->next();
+        EXPECT_EQ(wc.status, WcStatus::kSuccess);
+        EXPECT_EQ(result, 99u);
+        EXPECT_EQ(target, 99u);
+      }(p),
+      "atomics");
+  p.sim.run();
+}
+
+TEST(Rdma, ReadResponsesTakeNoStagingBuffer) {
+  // A read response is placed straight into the destination: a 1 MiB read
+  // draws nothing from the simulator's staging-buffer pool.
+  Pair p;
+  static std::vector<std::byte> remote(1 << 20, std::byte{0x3c});
+  static std::vector<std::byte> local(1 << 20);
+  std::uint64_t pool_ops = ~0ull;
+  p.sim.spawn(
+      [](Pair& pr, std::uint64_t& ops) -> sim::Task<void> {
+        MemoryRegion* ml =
+            co_await pr.pda->register_memory(local.data(), local.size());
+        MemoryRegion* mr =
+            co_await pr.pdb->register_memory(remote.data(), remote.size());
+        const sim::Simulator::Stats before = pr.sim.stats();
+        pr.qpa->post_send(SendWr{1, Opcode::kRdmaRead,
+                                 {Sge{local.data(), local.size(), ml->lkey()}},
+                                 reinterpret_cast<std::uint64_t>(remote.data()),
+                                 mr->rkey(), true});
+        const Wc wc = co_await pr.cqa->next();
+        EXPECT_EQ(wc.status, WcStatus::kSuccess);
+        const sim::Simulator::Stats after = pr.sim.stats();
+        ops = (after.pool_hits + after.pool_misses) -
+              (before.pool_hits + before.pool_misses);
+      }(p, pool_ops),
+      "reader");
+  p.sim.run();
+  EXPECT_EQ(pool_ops, 0u);
+  EXPECT_TRUE(local == remote);
 }
 
 TEST(Rdma, MidSizeReadBandwidthBelowWriteBandwidth) {

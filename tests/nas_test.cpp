@@ -381,6 +381,32 @@ TEST(NasKernels, ClassSResultsUnchanged) {
   }
 }
 
+TEST(NasKernels, ClassSVirtualTimeWithoutRegCache) {
+  // Every kernel's class S virtual time on 4 ranks with the registration
+  // cache off.  RegCache hits follow malloc's address reuse, so with the
+  // cache on virtual time can move with heap layout alone.  With it off,
+  // a change that only makes the host faster must leave every one of these
+  // bits alone.
+  struct Pinned {
+    const char* name;
+    double time_sec;
+  };
+  const Pinned pinned[] = {
+      {"ep", 0x1.ba8695ff5113dp-9}, {"is", 0x1.84aa222777e9p-9},
+      {"cg", 0x1.881e9ecb50f5p-9},  {"mg", 0x1.58a02989bf0edp-8},
+      {"ft", 0x1.f8a05a8b2c8acp-9}, {"lu", 0x1.85798b384e648p-9},
+      {"sp", 0x1.bbea0242d24bcp-10}, {"bt", 0x1.e2c77403878b5p-9},
+  };
+  mpi::RuntimeConfig cfg =
+      stack_cfg(ch3::Stack::kRdmaChannel, rdmach::Design::kZeroCopy);
+  cfg.stack.channel.use_reg_cache = false;
+  for (const Pinned& p : pinned) {
+    const Result r = run_kernel(p.name, 4, Class::S, cfg);
+    EXPECT_TRUE(r.verified) << p.name << ": " << r.detail;
+    EXPECT_EQ(r.time_sec, p.time_sec) << p.name;
+  }
+}
+
 TEST(NasDeterminism, ResultIndependentOfProcessCountForEp) {
   // EP's tallies must be identical for any decomposition (exact stream
   // splitting); the Result.detail carries sx.

@@ -1,11 +1,19 @@
-// Unit tests for the discrete-event simulation kernel: task semantics,
-// event ordering, process lifecycle, synchronization primitives, and the
-// bandwidth-resource contention model.
+// Unit tests for the discrete-event simulation kernel: task semantics and
+// coroutine-frame recycling, event ordering, process lifecycle,
+// synchronization primitives, and the bandwidth-resource contention model.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <coroutine>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "sim/campaign.hpp"
 #include "sim/resource.hpp"
@@ -15,6 +23,27 @@
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
+
+// Every global allocation of this test binary is counted, so the frame-pool
+// tests can see which coroutine calls reach ::operator new.
+namespace {
+std::size_t g_global_news = 0;
+std::size_t g_last_new_size = 0;
+}  // namespace
+
+// The replacements pair malloc with free; gcc cannot see that they replace
+// the library's operator new/delete and would warn at every inlined delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  ++g_global_news;
+  g_last_new_size = n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace sim {
 namespace {
@@ -184,6 +213,98 @@ TEST(Simulator, DestructionWithPendingProcessesDoesNotLeak) {
   sim.reset();
   delete never;
 }
+
+Task<int> plus_one(int x) { co_return x + 1; }
+
+/// Stores the address of the awaiting coroutine's frame, without suspending.
+struct FrameAddress {
+  void*& out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    out = h.address();
+    return false;
+  }
+  void await_resume() const noexcept {}
+};
+
+Task<void> frame_of(void*& out) { co_await FrameAddress{out}; }
+
+/// A coroutine whose frame is larger than the largest pooled size class.
+Task<int> oversize(std::size_t i) {
+  std::array<std::byte, 2 * detail::FramePool::kClasses *
+                            detail::FramePool::kGranule>
+      payload{};
+  payload[i % payload.size()] = std::byte{1};
+  void* frame = nullptr;
+  co_await FrameAddress{frame};
+  co_return static_cast<int>(payload[i % payload.size()]);
+}
+
+TEST(FramePool, BackToBackCallsReuseTheFrame) {
+  Simulator sim;
+  void* first = nullptr;
+  void* second = nullptr;
+  std::size_t news = ~std::size_t{0};
+  int sum = 0;
+  sim.spawn(
+      [](void*& a, void*& b, std::size_t& n, int& s) -> Task<void> {
+        co_await frame_of(a);
+        co_await frame_of(b);
+        s += co_await plus_one(0);  // the first frame of its class
+        const std::size_t before = g_global_news;
+        for (int i = 1; i <= 100; ++i) s += co_await plus_one(i);
+        n = g_global_news - before;
+      }(first, second, news, sum),
+      "calls");
+  sim.run();
+  EXPECT_NE(first, nullptr);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(news, 0u);  // 100 calls, no trip to ::operator new
+  EXPECT_EQ(sum, 101 * 102 / 2);
+}
+
+TEST(FramePool, OversizeFrameFallsBackToOperatorNew) {
+  Simulator sim;
+  std::size_t news = 0;
+  std::size_t size = 0;
+  sim.spawn(
+      [](std::size_t& n, std::size_t& bytes) -> Task<void> {
+        (void)co_await oversize(0);
+        const std::size_t before = g_global_news;
+        for (std::size_t i = 0; i < 10; ++i) {
+          const int v = co_await oversize(i);
+          EXPECT_EQ(v, 1);
+        }
+        n = g_global_news - before;
+        bytes = g_last_new_size;
+      }(news, size),
+      "oversize");
+  sim.run();
+  EXPECT_EQ(news, 10u);  // one ::operator new per call, nothing kept
+  EXPECT_GT(size, detail::FramePool::kClasses * detail::FramePool::kGranule);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(FramePool, ReleasedFrameIsPoisoned) {
+  Simulator sim;
+  bool live_poisoned = true;
+  bool released_poisoned = false;
+  sim.spawn(
+      [](bool& live, bool& released) -> Task<void> {
+        void* frame = nullptr;
+        {
+          Task<void> t = frame_of(frame);
+          co_await t;
+          live = __asan_address_is_poisoned(frame) != 0;
+        }
+        released = __asan_address_is_poisoned(frame) != 0;
+      }(live_poisoned, released_poisoned),
+      "poison");
+  sim.run();
+  EXPECT_FALSE(live_poisoned);
+  EXPECT_TRUE(released_poisoned);
+}
+#endif
 
 TEST(Trigger, FireWakesAllCurrentWaiters) {
   Simulator sim;
