@@ -42,6 +42,7 @@ sim::Task<void> Window::init() {
 
   pd_ = &ctx.node->hca().alloc_pd();
   cq_ = &ctx.node->hca().create_cq("win" + std::to_string(win_id_) + ".cq");
+  watchdog_->arrival = &cq_->arrival();
   mr_ = co_await pd_->register_memory(base_, bytes_, ib::kAllAccess);
   cache_ = std::make_unique<rdmach::RegCache>(*pd_, rdmach::kRegCacheCapacity,
                                               true);
@@ -508,17 +509,32 @@ sim::Task<void> Window::watchdog_wait(sim::Tick& deadline, int target,
     throw_dead(target, stage);
   }
   if (sim.now() >= deadline) co_return;
-  if (armed_deadline_ != deadline) {
-    // One wakeup event per distinct deadline: fire the CQ trigger so the
-    // predicate's time clause is re-evaluated (the wait_connected_until
-    // idiom).  Firing a trigger with no waiters is a no-op, so stray
-    // wakeups after the epoch completes cost nothing.
-    armed_deadline_ = deadline;
-    sim::Trigger* t = &cq_->arrival();
-    sim.call_at(deadline, [t] { t->fire(); });
+  // The wakeup fires the CQ trigger at the deadline so the predicate's time
+  // clause is re-evaluated (the wait_connected_until idiom).  At most one
+  // wakeup is queued per window: deadlines only move later (each is now()
+  // plus a constant, and the waits on one window are sequential), so a
+  // wakeup that finds the deadline moved re-queues itself for it instead of
+  // firing.  A wakeup left queued after the epoch completes holds one event
+  // queue slot until its deadline, then fires a trigger with no waiters.
+  watchdog_->armed = deadline;
+  if (!watchdog_->queued) {
+    watchdog_->queued = true;
+    queue_wakeup(sim, watchdog_);
   }
   co_await sim::wait_until(cq_->arrival(), [this, deadline, &sim] {
     return !cq_->empty() || cq_->overrun() || sim.now() >= deadline;
+  });
+}
+
+void Window::queue_wakeup(sim::Simulator& sim, std::shared_ptr<Watchdog> w) {
+  const sim::Tick at = w->armed;
+  sim.call_at(at, [&sim, w = std::move(w)]() mutable {
+    if (w->armed > sim.now()) {
+      queue_wakeup(sim, std::move(w));
+    } else {
+      w->queued = false;
+      w->arrival->fire();
+    }
   });
 }
 

@@ -200,6 +200,16 @@ class Window {
   /// the deadline.
   sim::Task<void> watchdog_wait(sim::Tick& deadline, int target,
                                 const char* stage);
+  /// State shared by the window and its one queued watchdog wakeup, which
+  /// may outlive the window (see watchdog_wait).
+  struct Watchdog {
+    sim::Trigger* arrival = nullptr;  // cq_'s trigger; the HCA owns the CQ
+    sim::Tick armed = 0;              // deadline of the current wait
+    bool queued = false;              // a wakeup is in the event queue
+  };
+  /// Queues `w`'s wakeup for `w->armed`.  When it fires it re-queues itself
+  /// if the armed deadline has moved later, else fires the CQ trigger.
+  static void queue_wakeup(sim::Simulator& sim, std::shared_ptr<Watchdog> w);
   /// Drains outstanding ops toward `target` (-1 = every target),
   /// recovering failed QPs as needed; the watchdog bounds each wait.
   sim::Task<void> drain_target(int target);
@@ -261,7 +271,7 @@ class Window {
   std::optional<ib::Wc> sync_wc_;
   std::vector<ib::MemoryRegion*> release_q_;
   bool progress_ = false;          // set by process_wc on any retire
-  sim::Tick armed_deadline_ = 0;   // last deadline a wakeup was scheduled for
+  std::shared_ptr<Watchdog> watchdog_ = std::make_shared<Watchdog>();
   Stats stats_;
 };
 

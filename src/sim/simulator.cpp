@@ -45,17 +45,14 @@ Simulator::~Simulator() {
   for (auto& p : processes_) {
     if (p->root) p->root.destroy();
   }
+  // Callbacks that never ran still own their captures and pooled cells.
+  for (const Event& ev : queue_) {
+    if (ev.op != nullptr) ev.op(ev.obj, /*invoke=*/false);
+  }
 }
 
 void Simulator::schedule(Tick at, std::coroutine_handle<> h) {
-  queue_.push_back(Event{at < now_ ? now_ : at, next_seq_++, h, nullptr});
-  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
-}
-
-void Simulator::call_at(Tick at, std::function<void()> fn) {
-  queue_.push_back(
-      Event{at < now_ ? now_ : at, next_seq_++, nullptr, std::move(fn)});
-  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  push(Event{at, 0, h.address(), nullptr});
 }
 
 void Simulator::adopt(Task<void> proc, std::string name, bool daemon) {
@@ -90,14 +87,14 @@ void Simulator::drain(Tick limit, bool bounded) {
   while (!queue_.empty()) {
     if (bounded && queue_.front().at > limit) break;
     std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-    Event ev = std::move(queue_.back());
+    const Event ev = queue_.back();
     queue_.pop_back();
     now_ = ev.at;
     ++events_processed_;
-    if (ev.h) {
-      ev.h.resume();
-    } else if (ev.fn) {
-      ev.fn();
+    if (ev.op == nullptr) {
+      std::coroutine_handle<>::from_address(ev.obj).resume();
+    } else {
+      ev.op(ev.obj, /*invoke=*/true);
     }
     if (failed_ != nullptr) break;
   }

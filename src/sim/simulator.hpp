@@ -1,10 +1,11 @@
 // Discrete-event simulation kernel.
 //
 // The Simulator owns a virtual clock and a time-ordered event queue whose
-// entries are coroutine handles to resume.  It is strictly single-threaded:
-// concurrency between simulated processes is interleaving at co_await
-// points, which makes every run bit-for-bit deterministic (events at equal
-// timestamps are processed in scheduling order).
+// entries are coroutine handles to resume or callbacks to run.  It is
+// strictly single-threaded: concurrency between simulated processes is
+// interleaving at co_await points, which makes every run bit-for-bit
+// deterministic (events at equal timestamps are processed in scheduling
+// order).
 //
 // Processes come in two flavours:
 //   * spawn(task, name)        -- a root process that is expected to finish;
@@ -16,12 +17,16 @@
 //                                 check and discarded when the run ends.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/pool.hpp"
@@ -61,10 +66,31 @@ class Simulator {
   /// Events with equal time fire in scheduling order.
   void schedule(Tick at, std::coroutine_handle<> h);
 
-  /// Schedules a plain callback at absolute time `at` (clamped to now()).
+  /// Schedules callable `fn` to run at absolute time `at` (clamped to
+  /// now()), ordered with schedule() events by (time, scheduling order).
   /// Used for fire-and-forget completion events that need no coroutine
-  /// frame (data delivery, CQE generation).
-  void call_at(Tick at, std::function<void()> fn);
+  /// frame (data delivery, CQE generation).  The callable is moved into a
+  /// detail::FramePool cell, so once the pool is warm a call_at allocates
+  /// nothing; the cell is released right after the callable runs (or
+  /// throws), or by ~Simulator if it is still queued then.
+  template <class F>
+  void call_at(Tick at, F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(alignof(Fn) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    void* cell = detail::FramePool::allocate(sizeof(Fn));
+    try {
+      ::new (cell) Fn(std::forward<F>(fn));
+    } catch (...) {
+      detail::FramePool::release(cell, sizeof(Fn));
+      throw;
+    }
+    try {
+      push(Event{at, 0, cell, &run_callable<Fn>});
+    } catch (...) {
+      run_callable<Fn>(cell, /*invoke=*/false);
+      throw;
+    }
+  }
 
   /// Awaitable: resumes the caller `d` ticks from now.  delay(0) still
   /// suspends, acting as a deterministic yield behind already-queued events.
@@ -101,6 +127,8 @@ class Simulator {
   Tick run_until(Tick t);
 
   std::size_t events_processed() const noexcept { return events_processed_; }
+  /// Events queued and not yet dispatched (resumptions plus callbacks).
+  std::size_t pending_events() const noexcept { return queue_.size(); }
   std::size_t live_root_processes() const noexcept;
 
   /// Shared staging-buffer pool for the DES hot path (HCA engines).
@@ -133,23 +161,48 @@ class Simulator {
   void adopt(Task<void> proc, std::string name, bool daemon);
   void drain(Tick limit, bool bounded);
 
+  /// One queued event: a coroutine to resume (`op` null, `obj` its frame
+  /// address) or a callable in a pooled cell (`obj`) that `op` runs and
+  /// then destroys, or only destroys when `invoke` is false.  Trivially
+  /// copyable, so heap sifts are plain 32-byte copies.
   struct Event {
     Tick at;
     std::uint64_t seq;
-    std::coroutine_handle<> h;
-    std::function<void()> fn;
+    void* obj;
+    void (*op)(void* obj, bool invoke);
     bool operator>(const Event& o) const noexcept {
       return at != o.at ? at > o.at : seq > o.seq;
     }
   };
+  static_assert(sizeof(Event) == 32 && std::is_trivially_copyable_v<Event>);
+
+  /// Clamps `ev.at` to now(), stamps the next sequence number and queues it.
+  void push(Event ev) {
+    if (ev.at < now_) ev.at = now_;
+    ev.seq = next_seq_++;
+    queue_.push_back(ev);
+    std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  }
+
+  template <class Fn>
+  static void run_callable(void* cell, bool invoke) {
+    Fn* fn = static_cast<Fn*>(cell);
+    struct Release {
+      Fn* fn;
+      ~Release() {
+        fn->~Fn();
+        detail::FramePool::release(fn, sizeof(Fn));
+      }
+    } release{fn};
+    if (invoke) (*fn)();
+  }
 
   // Declared before queue_: queued delivery events may hold pooled buffers,
   // whose deleters must still find a live free-list state at teardown (the
   // state itself is shared_ptr-owned, so even this ordering is belt and
   // braces).
   BufferPool pool_;
-  // Binary min-heap on (at, seq) kept with std::push_heap/pop_heap, so
-  // drain() can move an event out instead of copying its std::function.
+  // Binary min-heap on (at, seq) kept with std::push_heap/pop_heap.
   std::vector<Event> queue_;
   std::vector<std::unique_ptr<ProcessState>> processes_;
   Tick now_ = 0;

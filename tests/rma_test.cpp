@@ -646,6 +646,111 @@ TEST(RmaFault, RetryBudgetSnapshotCountsAbandonedOps) {
 }
 
 // ---------------------------------------------------------------------------
+// The window watchdog
+// ---------------------------------------------------------------------------
+
+TEST(RmaWatchdog, EpochsLeaveOneQueuedWakeupPerWindow) {
+  // Every flush and fence that waits arms a fresh 50 ms watchdog deadline.
+  // The window keeps one wakeup queued for its latest deadline rather than
+  // one per deadline, so after many epochs, with every rank done, the
+  // event queue holds at most one leftover wakeup per window.
+  constexpr int kP = 4;
+  constexpr int kEpochs = 20;
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  pmi::Job job{fabric, kP};
+  int finished = 0;
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    mpi::Runtime rt(ctx, {});
+    co_await rt.init();
+    mpi::Communicator& world = rt.world();
+    const int me = world.rank();
+    const int right = (me + 1) % kP;
+    std::vector<std::int64_t> mem(kEpochs, -1);
+    auto win = co_await mpi::Window::create(world, mem.data(), kEpochs * 8);
+    co_await win->fence();
+    for (int e = 0; e < kEpochs; ++e) {
+      const std::int64_t v = e;
+      win->lock_all();
+      co_await win->put(&v, 1, mpi::Datatype::kLong, right,
+                        static_cast<std::size_t>(e) * 8);
+      co_await win->flush(right);
+      co_await win->unlock_all();
+      co_await win->fence();
+    }
+    EXPECT_EQ(mem[kEpochs - 1], kEpochs - 1);
+    ++finished;
+    co_await rt.finalize();
+  });
+  // Well past the last epoch, well before its deadlines.
+  sim.run_until(rdmach::kRecoveryEpochDeadline / 5);
+  ASSERT_EQ(finished, kP);
+  EXPECT_LE(sim.pending_events(), static_cast<std::size_t>(kP));
+  sim.run_until(kDeadline);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(RmaWatchdog, FlushGivesUpAtTheDeadline) {
+  // A degrade window holds one put's completion past the watchdog budget:
+  // the flush must give up with kDead exactly one budget after it started
+  // waiting, not when the late completion finally lands.
+  FaultPlan plan;
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  fabric.attach_faults(&plan.schedule);
+  pmi::Job job{fabric, 2};
+  bool gave_up = false;
+  sim::Tick flush_at = -1;
+  sim::Tick raised_at = -1;
+  std::string stage;
+  std::int64_t landed = 0;
+  std::vector<std::unique_ptr<mpi::Runtime>> rts(2);
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    rts[static_cast<std::size_t>(ctx.rank)] =
+        std::make_unique<mpi::Runtime>(ctx, mpi::RuntimeConfig{});
+    mpi::Runtime& rt = *rts[static_cast<std::size_t>(ctx.rank)];
+    co_await rt.init();
+    mpi::Communicator& world = rt.world();
+    std::vector<std::int64_t> mem(1, 0);
+    auto win = co_await mpi::Window::create(world, mem.data(), 8);
+    co_await win->fence();
+    // Both windows, and the target memory, outlive the held put.
+    const sim::Tick linger = 2 * rdmach::kRecoveryEpochDeadline;
+    if (ctx.rank != 0) {
+      co_await ctx.sim().delay(linger);
+      landed = mem[0];
+      co_return;
+    }
+    // The channel is quiescent after the fence: the put is the next WQE
+    // node 0 processes.
+    const std::string scope = FaultPlan::scope_of(0);
+    sim::FaultSchedule::DegradeSpec late;
+    late.latency_add = rdmach::kRecoveryEpochDeadline + sim::usec(1000);
+    const std::uint64_t next = plan.schedule.observed(scope);
+    plan.schedule.degrade(scope, next, next + 1, late);
+    win->lock_all();
+    const std::int64_t v = 7;
+    co_await win->put(&v, 1, mpi::Datatype::kLong, 1, 0);
+    flush_at = ctx.sim().now();
+    try {
+      co_await win->flush(1);
+    } catch (const rdmach::ChannelError& e) {
+      gave_up = e.kind() == rdmach::ChannelError::kDead;
+      raised_at = ctx.sim().now();
+      stage = e.snapshot().stage;
+    }
+    co_await ctx.sim().delay(linger);
+  });
+  sim.run_until(kDeadline);
+  ASSERT_TRUE(gave_up) << "the flush never gave up on the held completion";
+  EXPECT_EQ(stage, "window:watchdog:flush");
+  EXPECT_EQ(raised_at - flush_at, rdmach::kRecoveryEpochDeadline);
+  // Pinned: how the wakeups are queued must not move the give-up tick.
+  EXPECT_EQ(raised_at, sim::Tick{50'101'139'974});
+  EXPECT_EQ(landed, 7) << "the held put never landed";
+}
+
+// ---------------------------------------------------------------------------
 // Window::Stats accounting
 // ---------------------------------------------------------------------------
 

@@ -5,7 +5,9 @@
 
 #include <array>
 #include <coroutine>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -212,6 +214,72 @@ TEST(Simulator, DestructionWithPendingProcessesDoesNotLeak) {
   sim->run_until(usec(1.0));
   sim.reset();
   delete never;
+}
+
+TEST(Simulator, CallAtAllocatesNothingOnceWarm) {
+  Simulator sim;
+  std::uint64_t sum = 0;
+  auto post = [&sim, &sum](std::uint64_t base) {
+    const std::array<std::uint64_t, 4> payload{base, base + 1, base + 2,
+                                               base + 3};
+    auto cb = [payload, total = &sum] {
+      for (std::uint64_t v : payload) *total += v;
+    };
+    static_assert(sizeof(cb) == 40);
+    sim.call_at(sim.now() + usec(1.0), cb);
+  };
+  for (std::uint64_t i = 0; i < 100; ++i) post(i);  // warm-up
+  sim.run();
+  const std::size_t before = g_global_news;
+  for (std::uint64_t i = 0; i < 100; ++i) post(i);
+  sim.run();
+  EXPECT_EQ(g_global_news - before, 0u);
+  EXPECT_EQ(sum, 2 * (4 * (99 * 100 / 2) + 100 * 6));
+}
+
+TEST(Simulator, QueuedCallbackIsDestroyedOnceAtTeardown) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.call_at(usec(1.0), [token] {});
+    sim.call_at(usec(2.0), [token] {});
+    EXPECT_EQ(token.use_count(), 3);
+    sim.run_until(usec(1.0));
+    EXPECT_EQ(token.use_count(), 2);  // ran, then destroyed
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(token.use_count(), 1);  // the queued one, exactly once
+}
+
+TEST(Simulator, ScheduleAndCallAtShareOneTickOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.call_at(usec(1.0), [&order] { order.push_back(0); });
+  for (int i = 1; i <= 4; ++i) {
+    sim.spawn(
+        [](Simulator& s, std::vector<int>& ord, int id) -> Task<void> {
+          if (id % 2 == 0) {
+            s.call_at(usec(1.0), [&ord, id] { ord.push_back(id); });
+          } else {
+            co_await s.delay(usec(1.0));
+            ord.push_back(id);
+          }
+        }(sim, order, i),
+        "p" + std::to_string(i));
+  }
+  sim.call_at(usec(1.0), [&order] { order.push_back(5); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 5, 1, 2, 3, 4}));
+}
+
+TEST(Simulator, ThrowingCallbackReleasesItsCapture) {
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  sim.call_at(usec(1.0), [token] { throw std::runtime_error("boom"); });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 Task<int> plus_one(int x) { co_return x + 1; }
