@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ib/config.hpp"
@@ -77,6 +78,8 @@ class Fabric {
   sim::Task<sim::Tick> book_path(Node& src, Node& dst, std::int64_t n);
 
  private:
+  friend class QueuePair;
+
   sim::Simulator* sim_;
   FabricConfig cfg_;
   sim::Tracer tracer_;
@@ -84,6 +87,12 @@ class Fabric {
   sim::Rng rng_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<std::uint32_t, QueuePair*> qp_dir_;
+  /// (QP number, wr_id) of signaled RDMA writes NAKed at delivery whose
+  /// success CQE is still queued: QueuePair turns that CQE into
+  /// kRemoteAccessError when it fires.  Empty unless a target invalidated
+  /// a region under an in-flight write.  Kept here rather than in each
+  /// QueuePair so a QP's size does not pay for the rare case.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> late_naks_;
   std::uint32_t key_counter_ = 100;
   std::uint32_t qpn_counter_ = 0;
 };

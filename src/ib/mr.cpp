@@ -6,6 +6,10 @@
 
 namespace ib {
 
+ProtectionDomain::~ProtectionDomain() {
+  if (holder_ != nullptr) *holder_ = nullptr;
+}
+
 sim::Task<MemoryRegion*> ProtectionDomain::register_memory(
     void* addr, std::size_t length, std::uint32_t access) {
   if (addr == nullptr || length == 0) {
@@ -60,6 +64,13 @@ sim::Task<void> ProtectionDomain::deregister(MemoryRegion* mr) {
       fabric.cfg().dereg_cost(static_cast<std::int64_t>(mr->length())));
   fabric.tracer().record(fabric.sim().now(), hca_->node().name(), "dereg_mr",
                          static_cast<std::int64_t>(mr->length()), mr->rkey());
+  invalidate(mr);
+}
+
+void ProtectionDomain::invalidate(MemoryRegion* mr) {
+  if (mr == nullptr || !mr->valid() || &mr->pd() != this) {
+    throw VerbsError("invalidate: region not registered with this PD");
+  }
   by_rkey_.erase(mr->rkey());
   by_lkey_.erase(mr->lkey());
   registered_bytes_ -= static_cast<std::int64_t>(mr->length());

@@ -66,16 +66,28 @@ class ProtectionDomain {
       : hca_(&hca), id_(id) {}
   ProtectionDomain(const ProtectionDomain&) = delete;
   ProtectionDomain& operator=(const ProtectionDomain&) = delete;
+  ~ProtectionDomain();
+
+  /// Names the one pointer that refers to this PD from an owner that may
+  /// outlive it (a Window in a coroutine frame that the simulator destroys
+  /// after the fabric): the destructor sets `*holder` to nullptr.  nullptr
+  /// detaches.
+  void set_holder(ProtectionDomain** holder) noexcept { holder_ = holder; }
 
   /// Registers [addr, addr+length) with the given access rights.  Charges
   /// the calling process the modelled registration cost.
   sim::Task<MemoryRegion*> register_memory(void* addr, std::size_t length,
                                            std::uint32_t access = kAllAccess);
 
-  /// Deregisters a region; charges the modelled cost and invalidates the
-  /// keys (in-flight operations that already validated are unaffected,
-  /// matching the hardware's behaviour of using the pinned translation).
+  /// Deregisters a region: charges the modelled cost, then invalidate()s
+  /// it.
   sim::Task<void> deregister(MemoryRegion* mr);
+
+  /// Invalidates a region's keys at once, charging nothing; for owners
+  /// that release the memory without a process to charge (a destructor).
+  /// Remote accesses fail with kRemoteAccessError from now on, including
+  /// an RDMA write that validated earlier and has not landed yet.
+  void invalidate(MemoryRegion* mr);
 
   /// Validates an SGE against this PD (lkey exists, covers the range, and
   /// grants local access).
@@ -99,6 +111,7 @@ class ProtectionDomain {
   std::unordered_map<std::uint32_t, MemoryRegion*> by_rkey_;
   std::unordered_map<std::uint32_t, MemoryRegion*> by_lkey_;
   std::int64_t registered_bytes_ = 0;
+  ProtectionDomain** holder_ = nullptr;
 };
 
 }  // namespace ib

@@ -1,6 +1,8 @@
 #include "ib/qp.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "ib/fabric.hpp"
 #include "ib/hca.hpp"
@@ -175,6 +177,37 @@ void QueuePair::complete(CompletionQueue& cq, const Wc& wc, sim::Tick at) {
 
 void QueuePair::complete_now(CompletionQueue& cq, const Wc& wc) {
   deliver_wc(cq, wc);
+}
+
+void QueuePair::complete_write(const Wc& wc, sim::Tick at) {
+  hca_->fabric().sim().call_at(
+      at, [this, &cq = *send_cq_, wc] {
+        auto& naks = hca_->fabric().late_naks_;
+        const auto it = std::find(naks.begin(), naks.end(),
+                                  std::pair{qp_num_, wc.wr_id});
+        if (it == naks.end()) {
+          deliver_wc(cq, wc);
+          return;
+        }
+        naks.erase(it);
+        deliver_wc(cq, Wc{wc.wr_id, WcStatus::kRemoteAccessError, wc.opcode,
+                          0, qp_num_, false});
+      });
+}
+
+void QueuePair::nak_late_write(std::uint64_t wr_id, bool signaled) {
+  Fabric& fabric = hca_->fabric();
+  fabric.tracer().record(fabric.sim().now(), node().name(), "late_write_nak",
+                         0, wr_id);
+  enter_error();
+  if (signaled) {
+    fabric.late_naks_.emplace_back(qp_num_, wr_id);
+  } else {
+    complete(*send_cq_,
+             Wc{wr_id, WcStatus::kRemoteAccessError, Opcode::kRdmaWrite, 0,
+                qp_num_, false},
+             fabric.sim().now() + fabric.cfg().ack_latency);
+  }
 }
 
 void QueuePair::deliver_wc(CompletionQueue& cq, const Wc& wc) {
@@ -444,17 +477,24 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
       Node* dst_node = &peer_->node();
       auto* dst = reinterpret_cast<std::byte*>(wr.remote_addr);
       ++inflight_deliveries_;
-      sim.call_at(delivered, [this, staging, dst, dst_node] {
-        std::memcpy(dst, staging->data(), staging->size());
+      // The write lands whole, in one copy at the delivery instant, and
+      // only if the target region is still registered then (the target
+      // HCA checks the rkey as the data arrives).
+      sim.call_at(delivered, [this, staging, dst, dst_node, mr,
+                              wr_id = wr.wr_id, signaled = wr.signaled] {
+        if (mr->valid()) {
+          std::memcpy(dst, staging->data(), staging->size());
+        } else {
+          nak_late_write(wr_id, signaled);
+        }
         dst_node->dma_arrival().fire();
         --inflight_deliveries_;
         quiesce_->fire();
       });
       if (wr.signaled) {
-        complete(*send_cq_,
-                 Wc{wr.wr_id, WcStatus::kSuccess, wr.opcode, n, qp_num_,
-                    false},
-                 delivered + cfg.ack_latency);
+        complete_write(Wc{wr.wr_id, WcStatus::kSuccess, wr.opcode, n,
+                          qp_num_, false},
+                       delivered + cfg.ack_latency);
       }
       break;
     }

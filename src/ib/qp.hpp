@@ -155,6 +155,13 @@ class QueuePair {
 
   void complete(CompletionQueue& cq, const Wc& wc, sim::Tick at);
   void complete_now(CompletionQueue& cq, const Wc& wc);
+  /// Queues a signaled RDMA write's success CQE; it fires as
+  /// kRemoteAccessError instead if the write was NAKed at delivery.
+  void complete_write(const Wc& wc, sim::Tick at);
+  /// Delivery-time NAK of an RDMA write whose target region was
+  /// invalidated after the rkey check: nothing lands, the QP enters the
+  /// error state and the initiator gets kRemoteAccessError.
+  void nak_late_write(std::uint64_t wr_id, bool signaled);
   /// Single point where a CQE reaches its CQ: consults the fault schedule's
   /// "<node>.cq" scope so an injected overrun can drop it.
   void deliver_wc(CompletionQueue& cq, const Wc& wc);

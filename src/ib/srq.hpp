@@ -10,11 +10,17 @@
 // connections as they are wired.  Exhaustion is a backpressure condition --
 // the requester stays cold and retries, surfacing through the channel's
 // credit_stalls counter -- never a deadlock.
+//
+// The pool knows nothing of what a ring holds and writes none of it: a
+// lease comes back with whatever bytes its previous tenant (or the
+// allocator) left.  The channel that leases a ring readies it before
+// exposing it to a peer (rdmach::VerbsChannelBase::ready_recv_ring zeroes
+// each slot's flag words), so a new tenant cannot replay an old tenant's
+// polling flags.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -29,8 +35,7 @@ class SharedRecvPool {
   /// use that as the "dedicated rings" degenerate mode.
   SharedRecvPool() = default;
 
-  /// Allocates the storage without zero-filling it: no reader sees a byte
-  /// of it before acquire() has zeroed its lease.
+  /// Allocates the storage without zero-filling it.
   void reset(std::size_t rings, std::size_t ring_bytes) {
     ring_bytes_ = ring_bytes;
     storage_.resize(rings * ring_bytes);
@@ -46,18 +51,17 @@ class SharedRecvPool {
   bool configured() const noexcept { return !next_.empty(); }
 
   /// Leases one ring; returns its base pointer, or nullptr when the pool is
-  /// exhausted (caller backpressures).  The extent is zeroed -- a fresh
-  /// lease must not replay a previous tenant's polling flags.
+  /// exhausted (caller backpressures).  Writes nothing: the extent holds the
+  /// previous tenant's bytes, and the caller readies it before any peer
+  /// may write to it or any reader polls it.
   std::byte* acquire() {
     if (free_head_ >= next_.size()) return nullptr;
     const std::size_t idx = free_head_;
     free_head_ = next_[idx];
     next_[idx] = kLeased;
-    std::byte* base = storage_.data() + idx * ring_bytes_;
-    std::memset(base, 0, ring_bytes_);
     ++leased_;
     if (leased_ > high_water_) high_water_ = leased_;
-    return base;
+    return storage_.data() + idx * ring_bytes_;
   }
 
   /// Returns a lease to the pool.  Throws std::logic_error for a pointer

@@ -16,7 +16,15 @@ namespace mpi {
 Window::Window(Communicator& comm, void* base, std::size_t bytes)
     : comm_(&comm), base_(static_cast<std::byte*>(base)), bytes_(bytes) {}
 
-Window::~Window() = default;
+Window::~Window() {
+  if (pd_ == nullptr) return;  // the fabric, and every QP, is gone already
+  pd_->set_holder(nullptr);
+  // The exposed memory and ctrl_ may be freed right after this: an access
+  // that reaches either later, a put already on the wire included, must
+  // fail at its origin with a remote access error instead of landing.
+  if (mr_ != nullptr && mr_->valid()) pd_->invalidate(mr_);
+  if (ctrl_mr_ != nullptr && ctrl_mr_->valid()) pd_->invalidate(ctrl_mr_);
+}
 
 sim::Task<std::unique_ptr<Window>> Window::create(Communicator& comm,
                                                   void* base,
@@ -41,6 +49,7 @@ sim::Task<void> Window::init() {
   win_id_ = (comm_->context() << 20) | agreed;
 
   pd_ = &ctx.node->hca().alloc_pd();
+  pd_->set_holder(&pd_);
   cq_ = &ctx.node->hca().create_cq("win" + std::to_string(win_id_) + ".cq");
   watchdog_->arrival = &cq_->arrival();
   mr_ = co_await pd_->register_memory(base_, bytes_, ib::kAllAccess);

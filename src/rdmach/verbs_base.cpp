@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "rdmach/crc32c.hpp"
+#include "rdmach/piggyback_channel.hpp"  // SlotHeader: the ring's flag words
 #include "sim/fault.hpp"
 
 namespace rdmach {
@@ -94,8 +96,9 @@ sim::Task<void> VerbsChannelBase::init() {
     auto conn = make_connection();
     conn->peer = p;
     conn->rail_failed.assign(static_cast<std::size_t>(num_rails_), 0);
-    conn->recv_ring.assign(kRingBytes, std::byte{0});
+    conn->recv_ring.resize(kRingBytes);
     conn->rx = conn->recv_ring.data();
+    ready_recv_ring(conn->rx, cfg_.chunk_bytes);
     conn->staging.resize(kRingBytes);
     conn->ring_mr = co_await pd_->register_memory(
         conn->recv_ring.data(), conn->recv_ring.size(), ib::kAllAccess);
@@ -278,6 +281,13 @@ ChannelStats VerbsChannelBase::stats() const {
         c->recv_ring.size() + c->staging.size() + sizeof(CtrlBlock);
   }
   return s;
+}
+
+void VerbsChannelBase::ready_recv_ring(std::byte* ring,
+                                       std::size_t chunk_bytes) {
+  for (std::size_t off = 0; off < kRingBytes; off += chunk_bytes) {
+    std::memset(ring + off, 0, sizeof(SlotHeader));
+  }
 }
 
 void VerbsChannelBase::reset_stats() {
@@ -908,13 +918,14 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
     ring_addr = reinterpret_cast<std::uint64_t>(lease);
     ring_rkey = srq_mr_->rkey();
   } else {
-    c.recv_ring.assign(kRingBytes, std::byte{0});
+    c.recv_ring.resize(kRingBytes);
     c.rx = c.recv_ring.data();
     c.ring_mr = co_await pd_->register_memory(c.rx, kRingBytes,
                                               ib::kAllAccess);
     ring_addr = reinterpret_cast<std::uint64_t>(c.rx);
     ring_rkey = c.ring_mr->rkey();
   }
+  ready_recv_ring(c.rx, cfg_.chunk_bytes);
   c.staging.resize(kRingBytes);
   c.staging_mr = co_await pd_->register_memory(c.staging.data(),
                                                c.staging.size(),
@@ -1037,7 +1048,7 @@ sim::Task<void> VerbsChannelBase::lazy_teardown(VerbsConnection& c) {
   }
   c.ring_mr = nullptr;
   c.rx = nullptr;
-  std::vector<std::byte>().swap(c.recv_ring);
+  sim::UninitBytes().swap(c.recv_ring);
   sim::UninitBytes().swap(c.staging);
   // The journal restarts from zero on both sides symmetrically; eviction
   // only ever fires on a fully-drained, fully-acknowledged connection, so

@@ -70,7 +70,10 @@ inline constexpr std::size_t kCtrlTailMasterOff = 48;
 class VerbsConnection : public Connection {
  public:
   ib::QueuePair* qp = nullptr;
-  std::vector<std::byte> recv_ring;  // peer RDMA-writes message data here
+  /// Dedicated receive ring; the peer RDMA-writes message data here.  Not
+  /// zero-filled: VerbsChannelBase::ready_recv_ring writes its slot flag
+  /// words before the peer learns its address.
+  sim::UninitBytes recv_ring;
   /// Preregistered send-side copy buffer.  Not zero-filled: every byte is
   /// written before it is posted or checksummed.
   sim::UninitBytes staging;
@@ -211,6 +214,16 @@ class VerbsChannelBase : public Channel {
   ChannelStats stats() const override;
   /// Zeroes the counters; the gauges keep describing what is resident now.
   void reset_stats() override;
+
+  /// Readies a kRingBytes receive ring before it is exposed to a peer:
+  /// zeroes the SlotHeader at each `chunk_bytes` slot start and writes no
+  /// other byte.  A slot's header gen word is its arrival flag, and its
+  /// tail flag is read only after the gen matched -- and an RDMA write
+  /// lands whole at its delivery instant -- so stale bytes past the
+  /// headers (a previous tenant's, or the allocator's) are never read.
+  /// The basic design reads only below the head replica, which its peer
+  /// wrote, so the stride is harmless there.
+  static void ready_recv_ring(std::byte* ring, std::size_t chunk_bytes);
 
  protected:
   VerbsChannelBase(pmi::Context& ctx, const ChannelConfig& cfg)

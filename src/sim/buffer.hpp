@@ -4,7 +4,11 @@
 // the hundreds of KiB.  A std::vector<std::byte> writes every byte on
 // resize, which touches every page of memory no reader may ever look at.
 // UninitBytes allocates the same bytes and leaves them as the allocator
-// returned them; whoever hands them to a reader writes them first.
+// returned them; whoever hands them to a reader writes first what that
+// reader may look at.  A staging buffer is written whole before it is
+// posted; a receive ring gets only its slot flag words zeroed
+// (rdmach::VerbsChannelBase::ready_recv_ring), because its reader looks at
+// nothing else before the peer's write has landed there.
 #pragma once
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 // handling (NAK, flush, injection), and the memory-bus contention model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -152,6 +153,55 @@ TEST(Rdma, WriteCompletionArrivesAfterAck) {
       }(p),
       "acked");
   p.sim.run();
+}
+
+TEST(Rdma, WriteLandsWholeAtDelivery) {
+  // Channel receive rings zero only their slot headers
+  // (rdmach::VerbsChannelBase::ready_recv_ring): a reader that saw a slot's
+  // header gen trusts its tail flag, which is sound only because a write
+  // lands whole at one instant.  No destination byte changes before the
+  // delivery tick, and every one of them has changed at it.
+  constexpr std::size_t kLen = 64 * 1024;
+  struct Run {
+    Pair p;
+    std::vector<std::byte> src = std::vector<std::byte>(kLen, std::byte{0xC3});
+    std::vector<std::byte> dst = std::vector<std::byte>(kLen, std::byte{0});
+    sim::Tick landed = -1;
+
+    Run() {
+      p.sim.spawn(
+          [](Run& r) -> sim::Task<void> {
+            MemoryRegion* ms =
+                co_await r.p.pda->register_memory(r.src.data(), kLen);
+            MemoryRegion* md =
+                co_await r.p.pdb->register_memory(r.dst.data(), kLen);
+            r.p.qpa->post_send(SendWr{1, Opcode::kRdmaWrite,
+                                      {Sge{r.src.data(), kLen, ms->lkey()}},
+                                      reinterpret_cast<std::uint64_t>(
+                                          r.dst.data()),
+                                      md->rkey(), true});
+            co_await r.p.b->dma_arrival().wait();
+            r.landed = r.p.sim.now();
+          }(*this),
+          "writer");
+    }
+    std::size_t changed() const {
+      return static_cast<std::size_t>(
+          std::count(dst.begin(), dst.end(), std::byte{0xC3}));
+    }
+  };
+  Run first;
+  first.p.sim.run();
+  ASSERT_GT(first.landed, 0);
+  EXPECT_EQ(first.changed(), kLen);
+  // The same run again, stopped one tick short of the delivery.
+  Run second;
+  second.p.sim.run_until(first.landed - 1);
+  EXPECT_EQ(second.changed(), 0u) << "bytes landed before the delivery tick";
+  second.p.sim.run_until(first.landed);
+  EXPECT_EQ(second.changed(), kLen) << "the write landed piecemeal";
+  second.p.sim.run();
+  EXPECT_EQ(second.landed, first.landed);
 }
 
 TEST(Rdma, LargeWriteBandwidthApproachesLinkRate) {

@@ -750,6 +750,61 @@ TEST(RmaWatchdog, FlushGivesUpAtTheDeadline) {
   EXPECT_EQ(landed, 7) << "the held put never landed";
 }
 
+TEST(RmaTeardown, HeldPutToADestroyedWindowFailsAtTheOrigin) {
+  // A degrade window holds one put on the wire while the target destroys
+  // its window and frees the memory behind it.  The put must not land in
+  // the freed memory: ~Window invalidates the window's regions, the write
+  // is NAKed at delivery, and the origin's flush gives up cleanly.
+  FaultPlan plan;
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  fabric.attach_faults(&plan.schedule);
+  pmi::Job job{fabric, 2};
+  constexpr sim::Tick kHold = sim::usec(1000);
+  bool freed = false;
+  bool gave_up = false;
+  std::string stage;
+  std::vector<std::unique_ptr<mpi::Runtime>> rts(2);
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    rts[static_cast<std::size_t>(ctx.rank)] =
+        std::make_unique<mpi::Runtime>(ctx, mpi::RuntimeConfig{});
+    mpi::Runtime& rt = *rts[static_cast<std::size_t>(ctx.rank)];
+    co_await rt.init();
+    mpi::Communicator& world = rt.world();
+    auto mem = std::make_unique<std::int64_t[]>(4);
+    auto win = co_await mpi::Window::create(world, mem.get(), 4 * 8);
+    co_await win->fence();
+    if (ctx.rank != 0) {
+      // Tear down while the put is held, well before it is delivered.
+      co_await ctx.sim().delay(kHold / 4);
+      win.reset();
+      mem.reset();
+      freed = true;
+      co_return;
+    }
+    // The channel is quiescent after the fence: the put is the next WQE
+    // node 0 processes.
+    const std::string scope = FaultPlan::scope_of(0);
+    sim::FaultSchedule::DegradeSpec late;
+    late.latency_add = kHold;
+    const std::uint64_t next = plan.schedule.observed(scope);
+    plan.schedule.degrade(scope, next, next + 1, late);
+    win->lock_all();
+    const std::int64_t v = 7;
+    co_await win->put(&v, 1, mpi::Datatype::kLong, 1, 0);
+    try {
+      co_await win->flush(1);
+    } catch (const rdmach::ChannelError& e) {
+      gave_up = e.kind() == rdmach::ChannelError::kDead;
+      stage = e.snapshot().stage;
+    }
+  });
+  sim.run_until(kDeadline);
+  ASSERT_TRUE(freed);
+  ASSERT_TRUE(gave_up) << "the flush reported a put into a freed window";
+  EXPECT_EQ(stage, "window:retry-budget");
+}
+
 // ---------------------------------------------------------------------------
 // Window::Stats accounting
 // ---------------------------------------------------------------------------

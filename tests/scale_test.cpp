@@ -20,6 +20,8 @@
 #include "ib/srq.hpp"
 #include "pmi/pmi.hpp"
 #include "rdmach/channel.hpp"
+#include "rdmach/piggyback_channel.hpp"
+#include "rdmach/verbs_base.hpp"
 #include "sim/rng.hpp"
 
 namespace rdmach {
@@ -125,6 +127,15 @@ sim::Task<void> all_pairs_body(pmi::Context& ctx, Channel& ch,
 // Differential: lazy connect (with and without budget/pool) vs eager
 // ---------------------------------------------------------------------------
 
+/// gtest-safe parameter name: the design's name with '-' as '_'.
+std::string design_test_name(const ::testing::TestParamInfo<Design>& info) {
+  std::string s = to_string(info.param);
+  for (auto& c : s) {
+    if (c == '-') c = '_';
+  }
+  return s;
+}
+
 class ScaleDesignTest : public ::testing::TestWithParam<Design> {};
 
 INSTANTIATE_TEST_SUITE_P(AllRdmaDesigns, ScaleDesignTest,
@@ -132,13 +143,7 @@ INSTANTIATE_TEST_SUITE_P(AllRdmaDesigns, ScaleDesignTest,
                                            Design::kPipeline,
                                            Design::kZeroCopy,
                                            Design::kAdaptive),
-                         [](const auto& info) {
-                           std::string s = to_string(info.param);
-                           for (auto& c : s) {
-                             if (c == '-') c = '_';
-                           }
-                           return s;
-                         });
+                         design_test_name);
 
 TEST_P(ScaleDesignTest, LazyConnectAllPairsMatchesEagerOracle) {
   // 8 ranks, every ordered pair exchanges an eager-sized and (via the
@@ -520,29 +525,95 @@ TEST(SharedRecvPool, DoubleReleaseThrows) {
   EXPECT_EQ(pool.free_rings(), 2u);
 }
 
-TEST(SharedRecvPool, LeaseIsZeroOverDirtyStorage) {
-  // The pool storage is not zero-filled; acquire() zeroes each lease, so
-  // no reader sees a previous tenant's bytes (or the allocator's).
-  constexpr std::size_t kRing = 4096;
-  const auto all_zero = [](const std::byte* p, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (p[i] != std::byte{0}) return false;
+TEST(SharedRecvPool, ReadyingARingWritesOnlyItsSlotHeaders) {
+  // acquire() writes nothing, so a re-leased ring still holds its previous
+  // tenant's bytes.  Readying it zeroes the SlotHeader at each chunk stride
+  // -- the only words a reader polls before trusting a slot -- and leaves
+  // every other byte as it was: a lease costs its header bytes, not
+  // kRingBytes.
+  for (const std::size_t chunk : {std::size_t{16 * 1024},
+                                  std::size_t{4 * 1024}}) {
+    ib::SharedRecvPool pool;
+    pool.reset(2, kRingBytes);
+    std::byte* ring = pool.acquire();
+    ASSERT_NE(ring, nullptr);
+    std::memset(ring, 0xA5, kRingBytes);
+    pool.release(ring);
+    ASSERT_EQ(pool.acquire(), ring);  // LIFO: the dirty ring comes back
+    std::size_t dirty = 0;
+    for (std::size_t i = 0; i < kRingBytes; ++i) {
+      dirty += ring[i] == std::byte{0xA5} ? 1 : 0;
     }
-    return true;
-  };
-  ib::SharedRecvPool pool;
-  pool.reset(2, kRing);
-  std::byte* first = pool.acquire();
-  ASSERT_NE(first, nullptr);
-  EXPECT_TRUE(all_zero(first, kRing)) << "first lease of a fresh pool";
-  std::memset(first, 0xA5, kRing);
-  pool.release(first);
-  std::byte* again = pool.acquire();
-  ASSERT_EQ(again, first);  // LIFO: the dirty ring comes back
-  EXPECT_TRUE(all_zero(again, kRing)) << "re-lease of a dirtied ring";
-  std::byte* second = pool.acquire();
-  ASSERT_NE(second, nullptr);
-  EXPECT_TRUE(all_zero(second, kRing)) << "first lease of the other ring";
+    EXPECT_EQ(dirty, kRingBytes) << "acquire() wrote into the lease";
+    VerbsChannelBase::ready_recv_ring(ring, chunk);
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < kRingBytes; ++i) {
+      const bool header = i % chunk < sizeof(SlotHeader);
+      wrong += ring[i] != (header ? std::byte{0} : std::byte{0xA5}) ? 1 : 0;
+    }
+    EXPECT_EQ(wrong, 0u) << "chunk_bytes " << chunk;
+  }
+}
+
+class PooledRingReuseTest : public ::testing::TestWithParam<Design> {};
+
+INSTANTIATE_TEST_SUITE_P(SlotDesigns, PooledRingReuseTest,
+                         ::testing::Values(Design::kPiggyback,
+                                           Design::kPipeline,
+                                           Design::kZeroCopy,
+                                           Design::kAdaptive),
+                         design_test_name);
+
+TEST_P(PooledRingReuseTest, NewTenantReceivesOnlyItsOwnBytes) {
+  // Rank 0 has one pooled ring and a budget of one connection.  Tenant A
+  // (rank 1) leaves valid gen-1 slots in 6 of its 8 slots.  Tenant B
+  // (rank 2) then re-leases the same ring after A's eviction and sends two
+  // slots, the second one late: while rank 0 waits for it, slot 1 would
+  // still carry A's gen-1 flags had readying the ring not zeroed them.
+  // Rank 0 must receive exactly B's bytes.
+  constexpr std::size_t kMsg = 4'000;  // one eager slot per put
+  constexpr std::size_t kOld = 6;
+  constexpr std::size_t kNew = 2;
+  ChannelConfig cfg;
+  cfg.design = GetParam();
+  cfg.lazy_connect = true;
+  cfg.srq_pool_rings = 1;
+  cfg.qp_budget = 1;
+  Fleet fleet(3, cfg);
+  const std::vector<std::byte> a = pair_msg(1, 0, kOld * kMsg);
+  const std::vector<std::byte> b = pair_msg(2, 0, kNew * kMsg);
+  std::vector<std::byte> got_a(a.size());
+  std::vector<std::byte> got_b(b.size());
+  ChannelStats st0;
+  fleet.run([&](pmi::Context& ctx, Channel& ch) -> sim::Task<void> {
+    if (ctx.rank == 0) {
+      Connection& c1 = ch.connection(1);
+      co_await recv_all(ch, c1, got_a.data(), got_a.size());
+      // Wiring rank 2 evicts rank 1 and hands its ring to the new tenant.
+      Connection& c2 = ch.connection(2);
+      const std::byte hello{1};
+      co_await send_all(ch, c2, &hello, 1);
+      co_await recv_all(ch, c2, got_b.data(), got_b.size());
+      st0 = ch.stats();
+    } else if (ctx.rank == 1) {
+      Connection& conn = ch.connection(0);
+      for (std::size_t i = 0; i < kOld; ++i) {
+        co_await send_all(ch, conn, a.data() + i * kMsg, kMsg);
+      }
+    } else {
+      Connection& conn = ch.connection(0);
+      std::byte hello{};
+      co_await recv_all(ch, conn, &hello, 1);
+      co_await send_all(ch, conn, b.data(), kMsg);
+      co_await ctx.sim().delay(sim::usec(500));
+      co_await send_all(ch, conn, b.data() + kMsg, kMsg);
+    }
+  });
+  ASSERT_TRUE(fleet.all_done());
+  EXPECT_EQ(got_a, a);
+  EXPECT_EQ(got_b, b) << "tenant B received bytes it never sent";
+  EXPECT_GE(st0.qps_evicted, 1u) << "tenant A was never evicted";
+  EXPECT_EQ(st0.srq_pool_high_water, 1u);
 }
 
 // ---------------------------------------------------------------------------
