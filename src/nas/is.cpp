@@ -12,18 +12,11 @@
 #include <numeric>
 #include <vector>
 
+#include "nas/is.hpp"
 #include "nas/nas.hpp"
 #include "nas/nas_random.hpp"
 
 namespace nas {
-
-namespace {
-
-struct IsConfig {
-  std::int64_t total_keys;
-  int max_key;  // keys are in [0, max_key)
-  int iterations;
-};
 
 IsConfig is_config(Class c) {
   switch (c) {
@@ -37,6 +30,17 @@ IsConfig is_config(Class c) {
       return {1 << 21, 1 << 16, 10};
   }
   return {1 << 16, 1 << 11, 5};
+}
+
+namespace {
+
+/// Writes counts[i] copies of lo + i, for every i, to out.  A plain function
+/// rather than a loop in `is`: the loop's locals would enlarge the
+/// coroutine's frame.
+void fill_sorted(const std::vector<int>& counts, int lo, int* out) {
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    out = std::fill_n(out, counts[i], lo + static_cast<int>(i));
+  }
 }
 
 }  // namespace
@@ -58,9 +62,7 @@ sim::Task<Result> is(mpi::Communicator& world, pmi::Context& ctx, Class cls) {
   co_await charge(ctx, static_cast<double>(per) * 12.0);
 
   const int keys_per_rank = cfg.max_key / p;  // bucket range per rank
-  auto owner = [&](int key) {
-    return std::min(key / keys_per_rank, p - 1);
-  };
+  const BucketOwner owner(cfg.max_key, p);
 
   co_await world.barrier();
   const double t0 = world.wtime();
@@ -109,13 +111,12 @@ sim::Task<Result> is(mpi::Communicator& world, pmi::Context& ctx, Class cls) {
     const int hi = rank == p - 1 ? cfg.max_key : lo + keys_per_rank;
     std::vector<int> counts(static_cast<std::size_t>(hi - lo), 0);
     for (int k : mine) ++counts[static_cast<std::size_t>(k - lo)];
+    // clear() first: growing from size 0 allocates exactly mine.size(),
+    // with no slack that would shift later allocations (IS's virtual time
+    // follows heap layout through the registration cache).
     sorted.clear();
-    sorted.reserve(mine.size());
-    for (int v = lo; v < hi; ++v) {
-      sorted.insert(sorted.end(),
-                    static_cast<std::size_t>(counts[static_cast<std::size_t>(v - lo)]),
-                    v);
-    }
+    sorted.resize(mine.size());
+    fill_sorted(counts, lo, sorted.data());
     co_await charge(ctx, static_cast<double>(total_recv) * 10.0 +
                              static_cast<double>(hi - lo));
   }

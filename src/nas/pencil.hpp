@@ -120,16 +120,29 @@ inline ScalarFactors factor_scalar(double a, int n) {
   return f;
 }
 
-/// Solves the factored system in place over a strided vector d[0..n) with
-/// stride `stride` doubles.
-inline void thomas_scalar(const ScalarFactors& f, double* d, int stride) {
+/// Solves the factored system in place on `lanes` interleaved lines:
+/// element i of line l is d[i * lanes + l].  lanes = 1 is one contiguous
+/// line; the y lines of a z-plane are its x lanes.  Step i runs over every
+/// line before step i + 1, so the lines' serial chains overlap, and each
+/// line sees the single-line operations in the single-line order.
+inline void thomas_scalar(const ScalarFactors& f, double* d, int lanes) {
   const std::size_t n = f.c.size();
-  const auto s = static_cast<std::size_t>(stride);
-  d[0] /= f.b;
+  const auto row = static_cast<std::size_t>(lanes);
+  for (std::size_t l = 0; l < row; ++l) d[l] /= f.b;
   for (std::size_t i = 1; i < n; ++i) {
-    d[i * s] = (d[i * s] + f.a * d[(i - 1) * s]) * f.m[i];
+    double* cur = d + i * row;
+    const double* prev = cur - row;
+    const double m = f.m[i];
+    for (std::size_t l = 0; l < row; ++l) {
+      cur[l] = (cur[l] + f.a * prev[l]) * m;
+    }
   }
-  for (std::size_t i = n - 1; i-- > 0;) d[i * s] -= f.c[i] * d[(i + 1) * s];
+  for (std::size_t i = n - 1; i-- > 0;) {
+    double* cur = d + i * row;
+    const double* next = cur + row;
+    const double c = f.c[i];
+    for (std::size_t l = 0; l < row; ++l) cur[l] -= c * next[l];
+  }
 }
 
 using M3 = std::array<double, 9>;  // row-major 3x3
@@ -194,33 +207,48 @@ inline BlockFactors factor_block(const M3& diag, const M3& off, int n) {
   return f;
 }
 
-/// Solves the factored system in place over the 3-vectors d[0..n) with
-/// element stride `stride` vectors.
-inline void thomas_block(const BlockFactors& f, double* d, int stride) {
+/// Solves the factored system in place on `lanes` interleaved lines of
+/// 3-vectors: element i of line l starts at d[(i * lanes + l) * 3].  Like
+/// thomas_scalar, step i runs over every line before step i + 1.  Step i's
+/// blocks are copied out first: d could alias them as far as the compiler
+/// knows, and would otherwise reload them for every line.
+inline void thomas_block(const BlockFactors& f, double* d, int lanes) {
   const std::size_t n = f.inv.size();
-  const std::size_t s = static_cast<std::size_t>(stride) * 3;
-  auto load = [&](std::size_t i) {
-    return V3{d[i * s], d[i * s + 1], d[i * s + 2]};
+  const std::size_t row = static_cast<std::size_t>(lanes) * 3;
+  auto load = [](const double* p) { return V3{p[0], p[1], p[2]}; };
+  auto store = [](double* p, const V3& v) {
+    p[0] = v[0];
+    p[1] = v[1];
+    p[2] = v[2];
   };
-  auto store = [&](std::size_t i, const V3& v) {
-    d[i * s] = v[0];
-    d[i * s + 1] = v[1];
-    d[i * s + 2] = v[2];
-  };
+  const M3 off = f.off;
   // Forward elimination.
-  store(0, mat_vec(f.inv[0], load(0)));
+  {
+    const M3 inv = f.inv[0];
+    for (std::size_t l = 0; l < row; l += 3) {
+      store(d + l, mat_vec(inv, load(d + l)));
+    }
+  }
   for (std::size_t i = 1; i < n; ++i) {
-    const V3 cur = load(i);
-    const V3 carry = mat_vec(f.off, load(i - 1));
-    store(i, mat_vec(f.inv[i], V3{cur[0] + carry[0], cur[1] + carry[1],
-                                  cur[2] + carry[2]}));
+    double* cur = d + i * row;
+    const M3 inv = f.inv[i];
+    for (std::size_t l = 0; l < row; l += 3) {
+      const V3 c = load(cur + l);
+      const V3 carry = mat_vec(off, load(cur + l - row));
+      store(cur + l, mat_vec(inv, V3{c[0] + carry[0], c[1] + carry[1],
+                                     c[2] + carry[2]}));
+    }
   }
   // Back substitution.
   for (std::size_t i = n - 1; i-- > 0;) {
-    const V3 corr = mat_vec(f.cp[i], load(i + 1));
-    d[i * s] -= corr[0];
-    d[i * s + 1] -= corr[1];
-    d[i * s + 2] -= corr[2];
+    double* cur = d + i * row;
+    const M3 cp = f.cp[i];
+    for (std::size_t l = 0; l < row; l += 3) {
+      const V3 corr = mat_vec(cp, load(cur + l + row));
+      cur[l] -= corr[0];
+      cur[l + 1] -= corr[1];
+      cur[l + 2] -= corr[2];
+    }
   }
 }
 

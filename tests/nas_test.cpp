@@ -1,21 +1,27 @@
 // NAS kernel tests: every kernel must self-verify on class S over several
 // process counts and over the three stacks the paper compares in Figures
 // 16/17 (pipelining, RDMA-channel zero-copy, CH3 zero-copy), plus the
-// exactness of the NAS random-number generator, the factored line solvers
-// and the tabulated FFT against the algorithms they replaced, and pinned
-// class S results.
+// exactness of the NAS random-number generator, the factored and
+// plane-batched line solvers, the tabulated and plane-batched FFT, EP's
+// blocked tally and IS's bucket-owner map against the algorithms they
+// replaced, and pinned class S results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include "ib/fabric.hpp"
 #include "mpi/runtime.hpp"
+#include "nas/ep.hpp"
 #include "nas/fft.hpp"
+#include "nas/is.hpp"
 #include "nas/nas.hpp"
 #include "nas/nas_random.hpp"
 #include "nas/pencil.hpp"
@@ -131,8 +137,8 @@ TEST(NasRandom, IntegerStepMatchesDoubleSplit) {
 }
 
 // The line solvers as the kernels ran them before the pivots were factored
-// out: every line recomputes the same pivots.  Oracles for the factored
-// solvers in nas/pencil.hpp.
+// out and the y sweeps batched: one strided line at a time, every line
+// recomputing the same pivots.  Oracles for the solvers in nas/pencil.hpp.
 void thomas_scalar_per_line(double a, int n, double* d, int stride) {
   std::vector<double> c(static_cast<std::size_t>(n));
   const auto s = static_cast<std::size_t>(stride);
@@ -185,36 +191,35 @@ void thomas_block_per_line(const M3& diag, const M3& off, int n, double* d,
   }
 }
 
-// n x n seeded lines of K components each: line j starts at j * n * K with
-// stride 1 (contiguous rows) or at j * K with stride n (columns).
-std::vector<double> random_lines(int n, int K, std::uint32_t seed) {
+std::vector<double> random_values(std::size_t count, std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  std::vector<double> v(static_cast<std::size_t>(n) * n * K);
+  std::vector<double> v(count);
   for (double& x : v) x = dist(rng);
   return v;
 }
 
-std::size_t line_start(int j, int n, int K, int stride) {
-  return static_cast<std::size_t>(j) * K * (stride == 1 ? n : 1);
-}
-
+// The solvers take `lanes` interleaved lines at once (lanes = 1 is one
+// contiguous line; a z-plane's y lines are its x lanes).  Each of them must
+// get exactly the bits of a single-line solve at stride `lanes`, for every
+// lane count a plane can have and then some.
 TEST(NasSolvers, FactoredScalarSolveMatchesPerLine) {
   for (const double a : {0.5, 0.37}) {
-    for (const int n : {12, 16, 32, 48}) {
+    for (const int n : {2, 3, 12, 16, 32, 48}) {
       const ScalarFactors f = factor_scalar(a, n);
-      for (const int stride : {1, n}) {
-        std::vector<double> got = random_lines(n, 1, 7u * n + stride);
+      for (int lanes = 1; lanes <= 64; ++lanes) {
+        std::vector<double> got = random_values(
+            static_cast<std::size_t>(n) * lanes, 7u * n + lanes);
         std::vector<double> want = got;
-        for (int j = 0; j < n; ++j) {
-          thomas_scalar(f, &got[line_start(j, n, 1, stride)], stride);
-          thomas_scalar_per_line(a, n, &want[line_start(j, n, 1, stride)],
-                                 stride);
+        thomas_scalar(f, got.data(), lanes);
+        for (int l = 0; l < lanes; ++l) {
+          thomas_scalar_per_line(a, n, &want[static_cast<std::size_t>(l)],
+                                 lanes);
         }
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
                               got.size() * sizeof(double)),
                   0)
-            << "a = " << a << ", n = " << n << ", stride = " << stride;
+            << "a = " << a << ", n = " << n << ", lanes = " << lanes;
       }
     }
   }
@@ -233,20 +238,21 @@ TEST(NasSolvers, FactoredBlockSolveMatchesPerLine) {
     diag[0] += 1.0;
     diag[4] += 1.0;
     diag[8] += 1.0;
-    for (const int n : {12, 24, 32, 48}) {
+    for (const int n : {2, 3, 12, 24, 32, 48}) {
       const BlockFactors f = factor_block(diag, off, n);
-      for (const int stride : {1, n}) {
-        std::vector<double> got = random_lines(n, 3, 11u * n + stride);
+      for (int lanes = 1; lanes <= 64; ++lanes) {
+        std::vector<double> got = random_values(
+            static_cast<std::size_t>(n) * lanes * 3, 11u * n + lanes);
         std::vector<double> want = got;
-        for (int j = 0; j < n; ++j) {
-          thomas_block(f, &got[line_start(j, n, 3, stride)], stride);
+        thomas_block(f, got.data(), lanes);
+        for (int l = 0; l < lanes; ++l) {
           thomas_block_per_line(diag, off, n,
-                                &want[line_start(j, n, 3, stride)], stride);
+                                &want[static_cast<std::size_t>(l) * 3], lanes);
         }
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
                               got.size() * sizeof(double)),
                   0)
-            << "a = " << a << ", n = " << n << ", stride = " << stride;
+            << "a = " << a << ", n = " << n << ", lanes = " << lanes;
       }
     }
   }
@@ -292,6 +298,211 @@ TEST(NasFft, TabulatedTwiddlesMatchInline) {
                             got.size() * sizeof(got[0])),
                 0)
           << "n = " << n << ", sign = " << sign;
+    }
+  }
+}
+
+TEST(NasFft, LanesMatchPerLine) {
+  // fft1d_lanes over a plane must give every column the bits fft1d gives it
+  // gathered into a contiguous line.
+  std::mt19937 rng(1024);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (int n = 1; n <= kMaxFftLen; n <<= 1) {
+    for (int lanes = 1; lanes <= 64; ++lanes) {
+      for (const int sign : {-1, +1}) {
+        std::vector<std::complex<double>> got(static_cast<std::size_t>(n) *
+                                              lanes);
+        for (auto& c : got) c = {dist(rng), dist(rng)};
+        std::vector<std::complex<double>> want = got;
+        fft1d_lanes(got.data(), n, lanes, sign);
+        std::vector<std::complex<double>> line(static_cast<std::size_t>(n));
+        for (int l = 0; l < lanes; ++l) {
+          for (int j = 0; j < n; ++j) {
+            line[static_cast<std::size_t>(j)] =
+                want[static_cast<std::size_t>(j) * lanes + l];
+          }
+          fft1d(line.data(), n, sign);
+          for (int j = 0; j < n; ++j) {
+            want[static_cast<std::size_t>(j) * lanes + l] =
+                line[static_cast<std::size_t>(j)];
+          }
+        }
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(got[0])),
+                  0)
+            << "n = " << n << ", lanes = " << lanes << ", sign = " << sign;
+      }
+    }
+  }
+}
+
+// FT's round-trip error as it was computed before: std::abs at every point.
+double max_abs_diff_every_point(const std::complex<double>* a,
+                                const std::complex<double>* b,
+                                std::size_t n) {
+  double err = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    err = std::max(err, std::abs(a[i] - b[i]));
+  }
+  return err;
+}
+
+TEST(NasFft, MaxAbsDiffMatchesStdAbs) {
+  using C = std::complex<double>;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Differences (b = 0) picked to sit on the skip test's edges: zeros and
+  // signed zeros, ties of |d| from different components, neighbours one ulp
+  // apart, subnormals, squares that underflow or overflow, both ends of the
+  // range where the skip applies, and non-finite values.
+  std::vector<C> d = {
+      {0, 0},
+      {-0.0, 0},
+      {3, 4},
+      {4, 3},
+      {-3, -4},
+      {5, 0},
+      {0, -5},
+      {0.6, 0.8},
+      {0.8, 0.6},
+      {1, 0},
+      {std::nextafter(1.0, 2.0), 0},
+      {std::nextafter(1.0, 0.0), 0},
+      {0.7071067811865476, 0.7071067811865476},
+      {0.7071067811865475, 0.7071067811865476},
+      {tiny, 0},
+      {tiny, tiny},
+      {3 * tiny, 4 * tiny},
+      {1e-310, 1e-310},
+      {std::numeric_limits<double>::min(), 0},
+      {1e-170, 1e-170},
+      {1e-200, 0},
+      {0x1p-600, 0x1p-600},
+      {0x1p-500, 0},
+      {std::nextafter(0x1p-500, 0.0), 0},
+      {std::nextafter(0x1p-500, 1.0), 0},
+      {0x1p-501, 0x1p-501},
+      {1e-9, 2e-9},
+      {2e-9, 1e-9},
+      {0x1p500, 0},
+      {std::nextafter(0x1p500, inf), 0},
+      {0x1p499, 0x1p499},
+      {1e300, 1e300},
+      {std::numeric_limits<double>::max(), 0},
+      {inf, 0},
+      {nan, 0},
+      {0, nan},
+  };
+  const std::vector<C> zeros(d.size());
+  std::mt19937 rng(500);
+  auto check = [&](const std::vector<C>& a, const std::vector<C>& b,
+                   const char* what) {
+    const double got = max_abs_diff(a.data(), b.data(), a.size());
+    const double want = max_abs_diff_every_point(a.data(), b.data(), a.size());
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << what << ": got " << got << ", want " << want;
+  };
+  // Each finite case alone, after every other case, and in random orders
+  // of the finite cases (inf and NaN would end the comparison early).
+  const std::vector<C> finite(d.begin(), d.end() - 3);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    for (std::size_t j = 0; j < d.size(); ++j) {
+      check({d[i], d[j]}, {C{}, C{}}, "pair");
+    }
+  }
+  std::vector<C> order = finite;
+  std::sort(order.begin(), order.end(),
+            [](const C& x, const C& y) { return std::abs(x) < std::abs(y); });
+  check(order, std::vector<C>(order.size()), "ascending");
+  std::reverse(order.begin(), order.end());
+  check(order, std::vector<C>(order.size()), "descending");
+  for (int round = 0; round < 200; ++round) {
+    std::shuffle(order.begin(), order.end(), rng);
+    check(order, std::vector<C>(order.size()), "shuffled");
+  }
+  check(d, zeros, "all");
+  // Near-ties of FT's own kind: a field and a copy perturbed by a few ulps,
+  // at several scales.
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (const double scale : {1.0, 1e-150, 0x1p-499, 1e150}) {
+    std::vector<C> a(4096), b(4096);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      b[i] = {scale * dist(rng), scale * dist(rng)};
+      a[i] = b[i];
+      for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+        a[i] = {std::nextafter(a[i].real(), 2 * scale), a[i].imag()};
+      }
+      if (rng() % 2) a[i] = {a[i].real(), std::nextafter(a[i].imag(), 0.0)};
+    }
+    check(a, b, "perturbed");
+  }
+}
+
+// EP's slice as it ran before the pairs were drawn in blocks: one pair at a
+// time, the annulus counts kept as doubles.
+EpTally ep_slice_per_pair(std::int64_t first, std::int64_t count) {
+  EpTally t;
+  double x = advance_seed(271828183.0, kDefaultA, 2 * first);
+  for (std::int64_t i = 0; i < count; ++i) {
+    const double u1 = 2.0 * randlc(&x, kDefaultA) - 1.0;
+    const double u2 = 2.0 * randlc(&x, kDefaultA) - 1.0;
+    const double s = u1 * u1 + u2 * u2;
+    if (s > 1.0 || s == 0.0) continue;
+    const double f = std::sqrt(-2.0 * std::log(s) / s);
+    const double gx = u1 * f;
+    const double gy = u2 * f;
+    t.sx += gx;
+    t.sy += gy;
+    const double m = std::max(std::fabs(gx), std::fabs(gy));
+    const auto bin = static_cast<std::size_t>(m);
+    if (bin < t.q.size()) t.q[bin] += 1.0;
+  }
+  return t;
+}
+
+TEST(NasEp, BlockedSliceMatchesPerPair) {
+  // Counts around the block size, and offsets that start mid-block and on
+  // an odd pair.
+  for (const std::int64_t count :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{1023},
+        std::int64_t{1024}, std::int64_t{1025}, std::int64_t{1} << 18}) {
+    for (const std::int64_t first :
+         {std::int64_t{0}, std::int64_t{1}, std::int64_t{777},
+          (std::int64_t{1} << 20) + 5}) {
+      const EpTally got = ep_slice(first, count);
+      const EpTally want = ep_slice_per_pair(first, count);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "first = " << first << ", count = " << count;
+    }
+  }
+}
+
+TEST(NasEp, ClassSTallyPinned) {
+  // The whole class S stream (2^18 pairs), every bit: the sums and all ten
+  // annulus counts.
+  const EpTally t = ep_slice(0, std::int64_t{1} << 18);
+  EXPECT_EQ(t.sx, 0x1.76a3c988d5097p+7);
+  EXPECT_EQ(t.sy, -0x1.7bbda7456b055p+8);
+  const std::array<double, 10> q = {0x1.77c8p+16, 0x1.645ep+16, 0x1.08d8p+14,
+                                    0x1.08p+10,   0x1.6p+4,     0,
+                                    0,            0,            0,
+                                    0};
+  for (std::size_t b = 0; b < q.size(); ++b) {
+    EXPECT_EQ(t.q[b], q[b]) << "annulus " << b;
+  }
+}
+
+TEST(NasIs, MultiplyShiftOwnerMatchesDivision) {
+  for (const Class cls : {Class::S, Class::W, Class::A, Class::B}) {
+    const int max_key = is_config(cls).max_key;
+    for (int p = 1; p <= 8; ++p) {
+      const BucketOwner owner(max_key, p);
+      const int keys_per_rank = max_key / p;
+      for (int key = 0; key < max_key; ++key) {
+        ASSERT_EQ(owner(key), std::min(key / keys_per_rank, p - 1))
+            << "max_key = " << max_key << ", p = " << p << ", key = " << key;
+      }
     }
   }
 }
