@@ -182,9 +182,9 @@ class Communicator {
   /// coroutine's suspension points miscompiles under gcc 12 (the captured
   /// strings are destroyed out of the coroutine frame).
   enum class FtDecision { kAgree, kShrink };
-  sim::Task<std::string> ft_decide(std::string base, FtDecision kind);
-  std::string decide_agree(const std::string& base) const;
-  std::string decide_shrink(const std::string& base) const;
+  sim::Task<const pmi::Record*> ft_decide(std::string base, FtDecision kind);
+  pmi::Record decide_agree(const std::string& base) const;
+  pmi::Record decide_shrink(const std::string& base) const;
   /// Fresh tag for one collective invocation (advances identically on every
   /// member because collectives are called in the same order).
   int next_coll_tag() noexcept {

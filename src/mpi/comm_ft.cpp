@@ -30,6 +30,15 @@ constexpr sim::Tick kFtDeadline = sim::usec(100'000);
 
 std::string dead_key(int world) { return "ft:dead:" + std::to_string(world); }
 
+/// Agreement flags are ints whose value bits may include the sign bit; a
+/// word carries them sign-extended.
+std::uint64_t flag_word(int flag) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(flag));
+}
+int word_flag(std::uint64_t word) {
+  return static_cast<int>(static_cast<std::int64_t>(word));
+}
+
 }  // namespace
 
 void Communicator::ft_check() const {
@@ -74,11 +83,11 @@ void Communicator::revoke() {
   pmi::Kvs& kvs = *eng_->ctx().kvs;
   const std::string key = "rvk:" + std::to_string(context_);
   if (kvs.has(key)) return;  // idempotent: first revocation wins
-  kvs.put(key, "1");
-  kvs.put("rvk:" + std::to_string(coll_context()), "1");
+  kvs.put(key, {});
+  kvs.put("rvk:" + std::to_string(coll_context()), {});
   // One mailbox entry per revocation: the engine sweeps and the entry
   // checks use the mailbox size as a cheap change-generation.
-  kvs.append("rvk", std::to_string(context_));
+  kvs.append("rvk", {context_});
   pmi::wake_all_ranks(eng_->ctx());
 }
 
@@ -97,8 +106,8 @@ std::vector<int> Communicator::failed_ranks() const {
   return out;
 }
 
-sim::Task<std::string> Communicator::ft_decide(std::string base,
-                                               FtDecision kind) {
+sim::Task<const pmi::Record*> Communicator::ft_decide(std::string base,
+                                                      FtDecision kind) {
   pmi::Kvs& kvs = *eng_->ctx().kvs;
   const std::string key = base + ":d";
   for (;;) {
@@ -121,8 +130,8 @@ sim::Task<std::string> Communicator::ft_decide(std::string base,
     const int leader_world = world_rank(leader);
     const auto got = co_await kvs.get_unless_before(
         key, dead_key(leader_world), eng_->ctx().sim().now() + kFtDeadline);
-    if (got) co_return *got;
-    if (const std::string* v = kvs.find(key)) co_return *v;
+    if (got != nullptr) co_return got;
+    if (const pmi::Record* v = kvs.find(key)) co_return v;
     // No decision: either the leader's obituary aborted the wait (next live
     // member takes over on the next pass) or the leader went silent past
     // the deadline -- convict it so the protocol can move on.
@@ -144,7 +153,7 @@ sim::Task<int> Communicator::agree(int flag) {
   const std::string base =
       "agr:" + std::to_string(context_) + ":" + std::to_string(seq);
   kvs.put(base + ":c:" + std::to_string(my_rank_),
-          std::to_string(flag & ~kAgreeFlagDead));
+          {flag_word(flag & ~kAgreeFlagDead)});
 
   // Gather: wait for each member's contribution, or learn (possibly by
   // convicting it) that the member is dead.  After this loop, every member
@@ -157,28 +166,30 @@ sim::Task<int> Communicator::agree(int flag) {
     const std::string ckey = base + ":c:" + std::to_string(r);
     const auto got = co_await kvs.get_unless_before(
         ckey, dead_key(w), eng_->ctx().sim().now() + kFtDeadline);
-    if (got || kvs.has(ckey) || kvs.is_dead(w)) continue;
+    if (got != nullptr || kvs.has(ckey) || kvs.is_dead(w)) continue;
     if (kvs.post_obit(w)) pmi::wake_all_ranks(eng_->ctx());
   }
 
-  const std::string decided = co_await ft_decide(base, FtDecision::kAgree);
-  co_return std::stoi(decided);
+  const pmi::Record* decided = co_await ft_decide(base, FtDecision::kAgree);
+  co_return word_flag((*decided)[0]);
 }
 
-std::string Communicator::decide_agree(const std::string& base) const {
+/// Decision: {AND of the contributed flags, kAgreeFlagDead if any member is
+/// dead}.
+pmi::Record Communicator::decide_agree(const std::string& base) const {
   const pmi::Kvs& kvs = *eng_->ctx().kvs;
   int v = ~kAgreeFlagDead;  // AND identity over the value bits
   bool any_dead = false;
   for (int r = 0; r < size(); ++r) {
-    if (const std::string* c = kvs.find(base + ":c:" + std::to_string(r))) {
-      v &= std::stoi(*c);
+    if (const pmi::Record* c = kvs.find(base + ":c:" + std::to_string(r))) {
+      v &= word_flag((*c)[0]);
     } else {
       any_dead = true;  // settled board: missing means dead
     }
     if (kvs.is_dead(world_rank(r))) any_dead = true;
   }
   if (any_dead) v |= kAgreeFlagDead;
-  return std::to_string(v);
+  return {flag_word(v)};
 }
 
 sim::Task<Communicator*> Communicator::shrink() {
@@ -195,7 +206,7 @@ sim::Task<Communicator*> Communicator::shrink() {
   // legitimately disagree (uneven split histories); the decision takes the
   // max, which is fresh for everyone.
   kvs.put(base + ":c:" + std::to_string(my_rank_),
-          std::to_string(rt_->peek_next_context()));
+          {rt_->peek_next_context()});
 
   for (int r = 0; r < size(); ++r) {
     if (r == my_rank_) continue;
@@ -204,44 +215,39 @@ sim::Task<Communicator*> Communicator::shrink() {
     const std::string ckey = base + ":c:" + std::to_string(r);
     const auto got = co_await kvs.get_unless_before(
         ckey, dead_key(w), eng_->ctx().sim().now() + kFtDeadline);
-    if (got || kvs.has(ckey) || kvs.is_dead(w)) continue;
+    if (got != nullptr || kvs.has(ckey) || kvs.is_dead(w)) continue;
     if (kvs.post_obit(w)) pmi::wake_all_ranks(eng_->ctx());
   }
 
-  const std::string decided = co_await ft_decide(base, FtDecision::kShrink);
+  const pmi::Record& decided =
+      *co_await ft_decide(base, FtDecision::kShrink);
 
-  const std::size_t semi = decided.find(';');
-  const std::uint64_t new_ctx = std::stoull(decided.substr(0, semi));
+  const std::uint64_t new_ctx = decided[0];
   rt_->bump_next_context(new_ctx + 2);
   std::vector<int> group;
   int my_new_rank = -1;
-  for (std::size_t pos = semi + 1; pos < decided.size();) {
-    std::size_t comma = decided.find(',', pos);
-    if (comma == std::string::npos) comma = decided.size();
-    const int w = std::stoi(decided.substr(pos, comma - pos));
+  for (std::size_t i = 1; i < decided.size(); ++i) {
+    const int w = static_cast<int>(decided[i]);
     if (w == eng_->world_rank()) my_new_rank = static_cast<int>(group.size());
     group.push_back(w);
-    pos = comma + 1;
   }
   if (my_new_rank < 0) co_return nullptr;  // convicted while shrinking
   co_return &rt_->adopt_comm(std::move(group), my_new_rank, new_ctx);
 }
 
-/// Decision: "<new context>;<world rank>,<world rank>,..." -- survivors in
-/// old relative order, re-ranked densely.
-std::string Communicator::decide_shrink(const std::string& base) const {
+/// Decision: {new context, world rank, world rank, ...} -- survivors in old
+/// relative order, re-ranked densely.
+pmi::Record Communicator::decide_shrink(const std::string& base) const {
   const pmi::Kvs& kvs = *eng_->ctx().kvs;
-  std::uint64_t ctx = 0;
-  std::string survivors;
+  pmi::Record decision{0};
   for (int r = 0; r < size(); ++r) {
     const int w = world_rank(r);
-    const std::string* c = kvs.find(base + ":c:" + std::to_string(r));
+    const pmi::Record* c = kvs.find(base + ":c:" + std::to_string(r));
     if (c == nullptr || kvs.is_dead(w)) continue;
-    ctx = std::max(ctx, static_cast<std::uint64_t>(std::stoull(*c)));
-    if (!survivors.empty()) survivors += ',';
-    survivors += std::to_string(w);
+    decision[0] = std::max(decision[0], (*c)[0]);
+    decision.push_back(static_cast<std::uint64_t>(w));
   }
-  return std::to_string(ctx) + ';' + survivors;
+  return decision;
 }
 
 }  // namespace mpi

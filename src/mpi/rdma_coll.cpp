@@ -62,31 +62,34 @@ sim::Task<void> RdmaColl::init() {
   staging_mr_ = co_await pd_->register_memory(staging_.data(),
                                               staging_.size(), ib::kAllAccess);
 
-  auto key = [this](int from, int to, const char* what) {
-    return "coll:" + std::to_string(id_) + ":" + std::to_string(from) + ":" +
-           std::to_string(to) + ":" + what;
+  // One record per rank, like the window's descriptor: {addr, rkey}, then
+  // the QPN of the QP this rank created for each peer (0 for itself).
+  auto key = [this](int rank) {
+    return "coll:" + std::to_string(id_) + ":" + std::to_string(rank);
   };
-
+  pmi::Record desc{reinterpret_cast<std::uint64_t>(recv_.data()),
+                   recv_mr_->rkey()};
   peers_.resize(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
-    if (r == me) continue;
+    if (r == me) {
+      desc.push_back(0);
+      continue;
+    }
     ib::QueuePair& qp = ctx.node->hca().create_qp(*pd_, *cq_, *cq_);
     peers_[static_cast<std::size_t>(r)].qp = &qp;
-    kvs.put_u64(key(me, r, "qpn"), qp.qp_num());
+    desc.push_back(qp.qp_num());
   }
-  kvs.put_u64(key(me, -1, "addr"),
-              reinterpret_cast<std::uint64_t>(recv_.data()));
-  kvs.put_u64(key(me, -1, "rkey"), recv_mr_->rkey());
+  kvs.put(key(me), std::move(desc));
 
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
     Peer& peer = peers_[static_cast<std::size_t>(r)];
-    peer.raddr = co_await kvs.get_u64(key(r, -1, "addr"));
-    peer.rkey =
-        static_cast<std::uint32_t>(co_await kvs.get_u64(key(r, -1, "rkey")));
+    const pmi::Record& rdesc = *co_await kvs.get(key(r));
+    peer.raddr = rdesc[0];
+    peer.rkey = static_cast<std::uint32_t>(rdesc[1]);
     if (me < r) {
-      const auto peer_qpn = static_cast<std::uint32_t>(
-          co_await kvs.get_u64(key(r, me, "qpn")));
+      const auto peer_qpn =
+          static_cast<std::uint32_t>(rdesc[2 + static_cast<std::size_t>(me)]);
       peer.qp->connect(*ctx.fabric().find_qp(peer_qpn));
     }
   }

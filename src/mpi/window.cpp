@@ -1,7 +1,6 @@
 #include "mpi/window.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -72,44 +71,32 @@ sim::Task<void> Window::init() {
         &ctx.node->hca().create_qp(*pd_, *cq_, *cq_);
   }
 
-  // One descriptor key per rank: addr, size, rkey, caddr, ckey, then the
-  // QPN of the QP this rank created for each peer (0 for itself).
+  // One descriptor record per rank: addr, size, rkey, caddr, ckey, then
+  // the QPN of the QP this rank created for each peer (0 for itself).
   auto key = [this](int rank) {
     return "win:" + std::to_string(win_id_) + ":" + std::to_string(rank);
   };
-  std::string desc;
-  auto field = [&desc](std::uint64_t v) { desc += std::to_string(v) + ' '; };
-  field(reinterpret_cast<std::uint64_t>(base_));
-  field(bytes_);
-  field(mr_->rkey());
-  field(reinterpret_cast<std::uint64_t>(ctrl_.data()));
-  field(ctrl_mr_->rkey());
+  pmi::Record desc{reinterpret_cast<std::uint64_t>(base_), bytes_,
+                   mr_->rkey(), reinterpret_cast<std::uint64_t>(ctrl_.data()),
+                   ctrl_mr_->rkey()};
   for (const Peer& peer : peers_) {
-    field(peer.qp == nullptr ? 0 : peer.qp->qp_num());
+    desc.push_back(peer.qp == nullptr ? 0 : peer.qp->qp_num());
   }
   kvs.put(key(me), std::move(desc));
 
   for (int r = 0; r < p; ++r) {
     if (r == me) continue;
     Peer& peer = peers_[static_cast<std::size_t>(r)];
-    const std::string rdesc = co_await kvs.get(key(r));
-    const char* at = rdesc.data();
-    const char* const end = at + rdesc.size();
-    auto next = [&at, end] {
-      std::uint64_t v = 0;
-      at = std::from_chars(at, end, v).ptr + 1;  // skip the separator
-      return v;
-    };
-    peer.raddr = next();
-    peer.rbytes = next();
-    peer.rkey = static_cast<std::uint32_t>(next());
-    peer.ctrl_raddr = next();
-    peer.ctrl_rkey = static_cast<std::uint32_t>(next());
+    const pmi::Record& rdesc = *co_await kvs.get(key(r));
+    peer.raddr = rdesc[0];
+    peer.rbytes = rdesc[1];
+    peer.rkey = static_cast<std::uint32_t>(rdesc[2]);
+    peer.ctrl_raddr = rdesc[3];
+    peer.ctrl_rkey = static_cast<std::uint32_t>(rdesc[4]);
     if (me < r) {
-      for (int i = 0; i < me; ++i) next();
-      const auto peer_qpn = static_cast<std::uint32_t>(next());
-      ib::QueuePair* remote = ctx.fabric().find_qp(peer_qpn);
-      peer.qp->connect(*remote);
+      const auto peer_qpn = static_cast<std::uint32_t>(
+          rdesc[5 + static_cast<std::size_t>(me)]);
+      peer.qp->connect(*ctx.fabric().find_qp(peer_qpn));
     }
   }
   co_await comm_->barrier();

@@ -4,14 +4,14 @@
 // key-value space: every rank publishes its QP numbers / buffer addresses /
 // rkeys, synchronizes, and reads its peers' entries.  This module provides
 // the same three primitives -- put, barrier-then-get, and a launcher that
-// starts one process per node -- against the simulated cluster.
+// starts one process per node -- against the simulated cluster.  Values are
+// word records (pmi::Record), never decimal strings.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,55 +22,50 @@
 
 namespace pmi {
 
+/// A KVS value: a record of 64-bit words -- QP numbers, buffer addresses,
+/// rkeys, counters -- in a layout fixed by the publisher and its readers.
+/// Publishers never format numbers as text, readers never parse: a record
+/// lands whole, so a reader that finds it can use every word at once.
+using Record = std::vector<std::uint64_t>;
+
 /// Job-wide key-value space.  get() blocks until the key has been
 /// published, so `put(...); co_await get(peer_key)` is a safe exchange
-/// without an explicit barrier.
+/// without an explicit barrier.  Records are never erased, so the pointers
+/// get() and find() return stay valid for the job's lifetime.
 class Kvs {
  public:
   explicit Kvs(sim::Simulator& sim) : published_(sim) {}
 
-  void put(const std::string& key, std::string value) {
+  void put(const std::string& key, Record value) {
     entries_[key] = std::move(value);
     published_.fire();
   }
 
-  /// Convenience for numeric values (addresses, rkeys, QP numbers).
-  void put_u64(const std::string& key, std::uint64_t v) {
-    put(key, std::to_string(v));
-  }
-
-  sim::Task<std::string> get(std::string key) {
+  sim::Task<const Record*> get(std::string key) {
     co_await sim::wait_until(published_,
                              [this, &key] { return entries_.count(key) > 0; });
-    co_return entries_.at(key);
+    co_return &entries_.at(key);
   }
 
-  sim::Task<std::uint64_t> get_u64(std::string key) {
-    std::string v = co_await get(std::move(key));
-    co_return std::stoull(v);
-  }
-
-  /// Blocks until `key` is published (returns its value) or `abort_key`
-  /// appears first (returns nullopt).  Recovery handshakes use this so a
+  /// Blocks until `key` is published (returns its record) or `abort_key`
+  /// appears first (returns nullptr).  Recovery handshakes use this so a
   /// rank waiting for its peer's half of an exchange is released when the
   /// peer instead publishes a failure marker.
-  sim::Task<std::optional<std::string>> get_unless(std::string key,
-                                                   std::string abort_key) {
+  sim::Task<const Record*> get_unless(std::string key, std::string abort_key) {
     co_await sim::wait_until(published_, [this, &key, &abort_key] {
       return entries_.count(key) > 0 || entries_.count(abort_key) > 0;
     });
-    auto it = entries_.find(key);
-    if (it == entries_.end()) co_return std::nullopt;
-    co_return it->second;
+    co_return find(key);
   }
 
   /// get_unless with a virtual-time deadline: additionally returns (with
-  /// nullopt) once `deadline` passes with neither key published.  The
+  /// nullptr) once `deadline` passes with neither key published.  The
   /// channel recovery watchdog bounds its handshake waits with this --
   /// disambiguate timeout from abort by probing has(abort_key) afterwards.
   /// `deadline` must be in the future.
-  sim::Task<std::optional<std::string>> get_unless_before(
-      std::string key, std::string abort_key, sim::Tick deadline) {
+  sim::Task<const Record*> get_unless_before(std::string key,
+                                             std::string abort_key,
+                                             sim::Tick deadline) {
     sim::Simulator& sim = published_.simulator();
     // The trigger only re-evaluates predicates when fired; fire it at the
     // deadline so the time clause below is actually observed.
@@ -80,9 +75,7 @@ class Kvs {
       return entries_.count(key) > 0 || entries_.count(abort_key) > 0 ||
              sim.now() >= deadline;
     });
-    auto it = entries_.find(key);
-    if (it == entries_.end()) co_return std::nullopt;
-    co_return it->second;
+    co_return find(key);
   }
 
   /// Non-blocking probe (PMI_KVS_Get with an immediate-failure return):
@@ -90,26 +83,25 @@ class Kvs {
   /// committing to wait for it.
   bool has(const std::string& key) const { return entries_.count(key) > 0; }
 
-  /// Non-blocking lookup: the value if published, nullptr otherwise.  Lazy
-  /// connection joins read a whole key family synchronously (no suspension
-  /// between reads) once the family's last-published sentinel key appears.
-  const std::string* find(const std::string& key) const {
+  /// Non-blocking lookup: the record if published, nullptr otherwise.  Lazy
+  /// connection joins poll a peer's endpoint record with this.
+  const Record* find(const std::string& key) const {
     auto it = entries_.find(key);
     return it == entries_.end() ? nullptr : &it->second;
   }
 
-  /// Append-only mailbox: values accumulate per key in publish order and
+  /// Append-only mailbox: records accumulate per key in publish order and
   /// are never overwritten.  Lazy connection establishment uses one mailbox
   /// per rank ("lzm:<rank>") for connect/evict requests; consumers keep a
   /// cursor into the list.  Fires the same trigger as put().
-  void append(const std::string& key, std::string value) {
+  void append(const std::string& key, Record value) {
     mailboxes_[key].push_back(std::move(value));
     published_.fire();
   }
 
   /// The mailbox list for `key` (possibly empty).  The reference is stable
   /// across further append() calls.
-  const std::vector<std::string>& mail(const std::string& key) {
+  const std::vector<Record>& mail(const std::string& key) {
     return mailboxes_[key];
   }
 
@@ -120,15 +112,16 @@ class Kvs {
     return it == mailboxes_.end() ? 0 : it->second.size();
   }
 
+  /// Published keys (one per record; mailboxes not counted).
   std::size_t size() const noexcept { return entries_.size(); }
 
   /// Publishes a connection-recovery key: a channel's dead marker or one
   /// half of an epoch re-handshake.  recovery_version() counts these
   /// publications, so fault polls skip their key lookups while it is 0 --
   /// the whole fault-free run.
-  void put_recovery(const std::string& key, std::uint64_t v) {
+  void put_recovery(const std::string& key, Record value) {
     ++recovery_version_;
-    put_u64(key, v);
+    put(key, std::move(value));
   }
 
   std::uint64_t recovery_version() const noexcept { return recovery_version_; }
@@ -143,7 +136,7 @@ class Kvs {
   bool post_obit(int rank) {
     if (!dead_ranks_.insert(rank).second) return false;
     obit_list_.push_back(rank);
-    put("ft:dead:" + std::to_string(rank), "1");
+    put("ft:dead:" + std::to_string(rank), {});
     return true;
   }
 
@@ -155,8 +148,8 @@ class Kvs {
   std::uint64_t obit_version() const noexcept { return obit_list_.size(); }
 
  private:
-  std::map<std::string, std::string> entries_;
-  std::map<std::string, std::vector<std::string>> mailboxes_;
+  std::map<std::string, Record> entries_;
+  std::map<std::string, std::vector<Record>> mailboxes_;
   std::set<int> dead_ranks_;
   std::vector<int> obit_list_;
   std::uint64_t recovery_version_ = 0;

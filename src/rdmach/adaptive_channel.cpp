@@ -15,10 +15,6 @@ namespace {
 /// 5's "extra overhead ... slightly increases the latency").
 constexpr sim::Tick kAdStateOverhead = sim::nsec(100);
 
-std::string akey(int from, int to, const std::string& what) {
-  return "ach:" + std::to_string(from) + ":" + std::to_string(to) + ":" + what;
-}
-
 /// Contiguous destination piece at byte `offset` of the iov list; len 0
 /// when the list offers no space there.
 Iov locate(std::span<const Iov> iovs, std::size_t offset) {
@@ -39,63 +35,6 @@ sim::Task<void> AdaptiveChannel::init() {
   co_await PipelineChannel::init();
   cache_ = std::make_unique<RegCache>(pd(), kRegCacheCapacity,
                                       cfg_.use_reg_cache);
-  if (cfg_.lazy_connect) co_return;  // extras built on demand, per peer
-  pmi::Kvs& kvs = *ctx_->kvs;
-  const int naux = std::max(0, cfg_.rndv_read_qps);
-
-  // Per connection: FIN-flag landing zone + source words, and the read
-  // pipeline's auxiliary QPs.  Published like the bootstrap endpoints.
-  for (int p = 0; p < size(); ++p) {
-    if (p == rank()) continue;
-    auto& c = static_cast<AdaptiveConnection&>(connection(p));
-    // Two words per FIN slot -- {progress, round CRC} -- so one contiguous
-    // write carries the value and its check when integrity is on.
-    c.fin_flags.assign(2 * kFinSlots, 0);
-    c.fin_src.assign(2 * kFinSlots, 0);
-    c.fin_mr = co_await pd().register_memory(
-        c.fin_flags.data(), 2 * kFinSlots * sizeof(std::uint64_t),
-        ib::kAllAccess);
-    c.fin_src_mr = co_await pd().register_memory(
-        c.fin_src.data(), 2 * kFinSlots * sizeof(std::uint64_t),
-        ib::kAllAccess);
-    kvs.put_u64(akey(rank(), p, "fin_addr"),
-                reinterpret_cast<std::uint64_t>(c.fin_flags.data()));
-    kvs.put_u64(akey(rank(), p, "fin_rkey"), c.fin_mr->rkey());
-    // Aux QPs deal round-robin over the node's rails (rail 0 on a default
-    // fabric, so the single-rail creation order is unchanged); each rides
-    // its rail's port and completes into that rail's CQ.
-    c.rail_sched.assign(static_cast<std::size_t>(num_rails()), 0);
-    c.aux.resize(static_cast<std::size_t>(naux));
-    for (int i = 0; i < naux; ++i) {
-      c.aux[static_cast<std::size_t>(i)] = &create_rail_qp(i % num_rails());
-      kvs.put_u64(akey(rank(), p, "aqpn" + std::to_string(i)),
-                  c.aux[static_cast<std::size_t>(i)]->qp_num());
-    }
-  }
-  for (int p = 0; p < size(); ++p) {
-    if (p == rank()) continue;
-    auto& c = static_cast<AdaptiveConnection&>(connection(p));
-    c.r_fin_addr = co_await kvs.get_u64(akey(p, rank(), "fin_addr"));
-    c.r_fin_rkey = static_cast<std::uint32_t>(
-        co_await kvs.get_u64(akey(p, rank(), "fin_rkey")));
-    if (rank() < p) {
-      for (int i = 0; i < naux; ++i) {
-        const auto qpn = static_cast<std::uint32_t>(
-            co_await kvs.get_u64(akey(p, rank(), "aqpn" + std::to_string(i))));
-        ib::QueuePair* peer_qp = ctx_->fabric().find_qp(qpn);
-        if (peer_qp == nullptr) {
-          throw std::runtime_error("adaptive bootstrap: aux QP not found");
-        }
-        c.aux[static_cast<std::size_t>(i)]->connect(*peer_qp);
-      }
-    }
-  }
-  co_await ctx_->barrier->arrive();
-  for (int p = 0; p < size(); ++p) {
-    if (p == rank()) continue;
-    auto& c = static_cast<AdaptiveConnection&>(connection(p));
-    for (ib::QueuePair* q : c.aux) qp_index_[q->qp_num()] = &c;
-  }
 }
 
 sim::Task<void> AdaptiveChannel::finalize() {
@@ -111,10 +50,14 @@ sim::Task<void> AdaptiveChannel::finalize() {
   }
 }
 
-sim::Task<void> AdaptiveChannel::lazy_setup_extra(VerbsConnection& conn) {
+// Per connection: FIN-flag landing zone + source words, and the read
+// pipeline's auxiliary QPs.  Endpoint words: fin_addr, fin_rkey, aqpn[i].
+sim::Task<void> AdaptiveChannel::setup_extra(VerbsConnection& conn,
+                                             pmi::Record& ep) {
   auto& c = static_cast<AdaptiveConnection&>(conn);
-  pmi::Kvs& kvs = *ctx_->kvs;
   const int naux = std::max(0, cfg_.rndv_read_qps);
+  // Two words per FIN slot -- {progress, round CRC} -- so one contiguous
+  // write carries the value and its check when integrity is on.
   c.fin_flags.assign(2 * kFinSlots, 0);
   c.fin_src.assign(2 * kFinSlots, 0);
   c.fin_mr = co_await pd().register_memory(
@@ -123,49 +66,38 @@ sim::Task<void> AdaptiveChannel::lazy_setup_extra(VerbsConnection& conn) {
   c.fin_src_mr = co_await pd().register_memory(
       c.fin_src.data(), 2 * kFinSlots * sizeof(std::uint64_t),
       ib::kAllAccess);
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "fin_addr"),
-              reinterpret_cast<std::uint64_t>(c.fin_flags.data()));
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "fin_rkey"),
-              c.fin_mr->rkey());
+  ep.push_back(reinterpret_cast<std::uint64_t>(c.fin_flags.data()));
+  ep.push_back(c.fin_mr->rkey());
+  // Aux QPs deal round-robin over the node's rails (rail 0 on a default
+  // fabric); each rides its rail's port and completes into that rail's CQ.
   c.rail_sched.assign(static_cast<std::size_t>(num_rails()), 0);
   c.rr_next = 0;
   c.aux.assign(static_cast<std::size_t>(naux), nullptr);
   for (int i = 0; i < naux; ++i) {
     c.aux[static_cast<std::size_t>(i)] = &create_rail_qp(i % num_rails());
-    kvs.put_u64(
-        lazy_key(rank(), c.peer, c.lz_gen,
-                 ("aqpn" + std::to_string(i)).c_str()),
-        c.aux[static_cast<std::size_t>(i)]->qp_num());
+    ep.push_back(c.aux[static_cast<std::size_t>(i)]->qp_num());
   }
 }
 
-sim::Task<void> AdaptiveChannel::lazy_join_extra(VerbsConnection& conn) {
+void AdaptiveChannel::join_extra(VerbsConnection& conn,
+                                 const pmi::Record& ep) {
   auto& c = static_cast<AdaptiveConnection&>(conn);
-  pmi::Kvs& kvs = *ctx_->kvs;
-  // Every peer key under this generation is readable: the main-QP qpn
-  // sentinel the caller saw is published after all of them.
-  c.r_fin_addr = std::stoull(
-      *kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "fin_addr")));
-  c.r_fin_rkey = static_cast<std::uint32_t>(
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "fin_rkey"))));
+  c.r_fin_addr = ep[kEpBaseWords];
+  c.r_fin_rkey = static_cast<std::uint32_t>(ep[kEpBaseWords + 1]);
   if (rank() < c.peer) {
     // The lower rank wires each aux pair; connect() is bidirectional, so
     // by the time the higher rank sees the main QP connected its aux QPs
     // are wired too.
     for (std::size_t i = 0; i < c.aux.size(); ++i) {
-      if (c.aux[i]->connected()) continue;
-      const auto qpn = static_cast<std::uint32_t>(std::stoull(*kvs.find(
-          lazy_key(c.peer, rank(), c.lz_gen,
-                   ("aqpn" + std::to_string(static_cast<int>(i))).c_str()))));
-      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(qpn);
+      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(
+          static_cast<std::uint32_t>(ep[kEpBaseWords + 2 + i]));
       if (peer_qp == nullptr) {
-        throw std::runtime_error("lazy connect: peer aux QP not found");
+        throw std::runtime_error("connect: peer aux QP not found");
       }
       c.aux[i]->connect(*peer_qp);
     }
   }
   for (ib::QueuePair* q : c.aux) qp_index_[q->qp_num()] = &c;
-  co_return;
 }
 
 sim::Task<void> AdaptiveChannel::lazy_evict_extra(VerbsConnection& conn) {

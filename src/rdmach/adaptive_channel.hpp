@@ -235,12 +235,12 @@ class AdaptiveChannel : public PipelineChannel {
   sim::Task<void> replay(VerbsConnection& c,
                          std::uint64_t peer_consumed) override;
 
-  /// Lazy-connect extras: the FIN-flag arrays and the read pipeline's aux
-  /// QPs are built with the local half of the on-demand handshake (their
-  /// endpoints publish under the generation-scoped keys), joined before
-  /// the main QP's commit point, and dropped at teardown.
-  sim::Task<void> lazy_setup_extra(VerbsConnection& c) override;
-  sim::Task<void> lazy_join_extra(VerbsConnection& c) override;
+  /// Endpoint extras: the FIN-flag arrays and the read pipeline's aux QPs
+  /// are built with the local half of every connect, eager or lazy (their
+  /// words ride in the endpoint record), joined before the main QP's
+  /// commit point, and dropped at lazy teardown.
+  sim::Task<void> setup_extra(VerbsConnection& c, pmi::Record& ep) override;
+  void join_extra(VerbsConnection& c, const pmi::Record& ep) override;
   sim::Task<void> lazy_evict_extra(VerbsConnection& c) override;
   /// Rendezvous tokens, segment loans, and queued acks live outside the
   /// slot journal; a connection carrying any of them must not be torn down.

@@ -26,20 +26,20 @@ bool MultiMethodChannel::is_local(int peer) const {
 
 sim::Task<void> MultiMethodChannel::init() {
   // Publish my node id so every peer can route by locality.
-  ctx_->kvs->put_u64("mm:node:" + std::to_string(rank()),
-                     static_cast<std::uint64_t>(ctx_->node->id()));
+  ctx_->kvs->put("mm:node:" + std::to_string(rank()),
+                 {static_cast<std::uint64_t>(ctx_->node->id())});
   co_await shm_->init();
   co_await net_->init();
 
   conns_.resize(static_cast<std::size_t>(size()));
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
-    const auto peer_node =
-        co_await ctx_->kvs->get_u64("mm:node:" + std::to_string(p));
+    const pmi::Record& peer_node =
+        *co_await ctx_->kvs->get("mm:node:" + std::to_string(p));
     auto routed = std::make_unique<Routed>();
     routed->peer = p;
     const bool local =
-        peer_node == static_cast<std::uint64_t>(ctx_->node->id());
+        peer_node[0] == static_cast<std::uint64_t>(ctx_->node->id());
     routed->via = local ? shm_.get() : net_.get();
     routed->inner = &routed->via->connection(p);
     conns_[static_cast<std::size_t>(p)] = std::move(routed);

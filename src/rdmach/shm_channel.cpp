@@ -4,14 +4,12 @@
 
 namespace rdmach {
 
-namespace {
-std::string key(int from, int to, const char* what) {
-  return "shm:" + std::to_string(from) + ":" + std::to_string(to) + ":" + what;
-}
-}  // namespace
-
 sim::Task<void> ShmChannel::init() {
   pmi::Kvs& kvs = *ctx_->kvs;
+  auto key = [](int from, int to) {
+    return "shm:" + std::to_string(from) + ":" + std::to_string(to);
+  };
+  // One record per pair: {my inbound ring from the peer, this channel}.
   conns_.resize(static_cast<std::size_t>(size()));
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
@@ -19,18 +17,16 @@ sim::Task<void> ShmChannel::init() {
     conn->peer = p;
     conn->in = std::make_unique<Ring>();
     conn->in->buf.assign(kRingBytes, std::byte{0});
-    kvs.put_u64(key(rank(), p, "ring"),
-                reinterpret_cast<std::uint64_t>(conn->in.get()));
+    kvs.put(key(rank(), p), {reinterpret_cast<std::uint64_t>(conn->in.get()),
+                             reinterpret_cast<std::uint64_t>(this)});
     conns_[static_cast<std::size_t>(p)] = std::move(conn);
   }
-  kvs.put_u64("shm:" + std::to_string(rank()) + ":chan",
-              reinterpret_cast<std::uint64_t>(this));
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
     ShmConnection& c = *conns_[static_cast<std::size_t>(p)];
-    c.out = reinterpret_cast<Ring*>(co_await kvs.get_u64(key(p, rank(), "ring")));
-    c.peer_chan = reinterpret_cast<ShmChannel*>(
-        co_await kvs.get_u64("shm:" + std::to_string(p) + ":chan"));
+    const pmi::Record& peer = *co_await kvs.get(key(p, rank()));
+    c.out = reinterpret_cast<Ring*>(peer[0]);
+    c.peer_chan = reinterpret_cast<ShmChannel*>(peer[1]);
   }
   co_await ctx_->barrier->arrive();
 }

@@ -15,15 +15,20 @@ namespace rdmach {
 
 namespace {
 
-std::string key(int from, int to, const char* what) {
-  return "ch:" + std::to_string(from) + ":" + std::to_string(to) + ":" + what;
+/// Endpoint-record key of `from`'s half toward `to` in connect generation
+/// `gen` (always 0 for the eager bootstrap).  Generation-scoped, so every
+/// lazy reconnect is a fresh write-once exchange.
+std::string endpoint_key(int from, int to, std::uint64_t gen) {
+  return "ep:" + std::to_string(from) + ":" + std::to_string(to) + ":" +
+         std::to_string(gen);
 }
 
-/// Recovery-handshake keys are epoch-scoped so every re-handshake is a
-/// fresh exchange (PMI keys are write-once in real mpd too).
-std::string rec_key(int from, int to, std::uint64_t epoch, const char* what) {
+/// Recovery-handshake records {qpn, consumed} are epoch-scoped so every
+/// re-handshake is a fresh exchange (PMI keys are write-once in real mpd
+/// too).
+std::string rec_key(int from, int to, std::uint64_t epoch) {
   return "rcv:" + std::to_string(from) + ":" + std::to_string(to) + ":" +
-         std::to_string(epoch) + ":" + what;
+         std::to_string(epoch);
 }
 
 std::string dead_key(int from, int to) {
@@ -36,16 +41,18 @@ std::string dead_key(int from, int to) {
 /// request that opens generation g+1.
 std::string lz_mail_key(int r) { return "lzm:" + std::to_string(r); }
 
+/// Op word of a lazy-connect mail record {op, from, gen, consumed}.
+enum LzMailOp : std::uint64_t {
+  kLzConnect,  // open generation `gen`: join my endpoint record
+  kLzEvict,    // tear down `gen`; `consumed` is my consumed watermark
+  kLzAck,      // eviction of `gen` done on my side
+  kLzNak,      // eviction of `gen` refused (or stale)
+  kLzFlush,    // send your deferred consumption ack: it pins my eviction
+};
+
 }  // namespace
 
-std::string VerbsChannelBase::lazy_key(int from, int to, std::uint64_t gen,
-                                       const char* what) {
-  return "lz:" + std::to_string(from) + ":" + std::to_string(to) + ":" +
-         std::to_string(gen) + ":" + what;
-}
-
 sim::Task<void> VerbsChannelBase::init() {
-  pmi::Kvs& kvs = *ctx_->kvs;
   pd_ = &node().hca().alloc_pd();
   cq_ = &node().hca().create_cq("rank" + std::to_string(rank()) + ".cq");
 
@@ -61,93 +68,59 @@ sim::Task<void> VerbsChannelBase::init() {
   stats_.rails.assign(static_cast<std::size_t>(num_rails_), {});
   rail_health_.assign(static_cast<std::size_t>(num_rails_), {});
 
+  // Lazy bootstrap: no per-pair rings, MRs, or QPs -- a rank's footprint at
+  // init is O(1), not O(ranks).  Connections are born cold; the first put()
+  // runs the on-demand handshake (ensure_tx / lazy_service).  The shared
+  // receive pool, when configured, is allocated and registered once here:
+  // one rkey covers every lease it will ever hand out.
+  if (cfg_.lazy_connect && cfg_.srq_pool_rings > 0) {
+    srq_pool_.reset(cfg_.srq_pool_rings, kRingBytes);
+    srq_mr_ = co_await pd_->register_memory(srq_pool_.base(),
+                                            srq_pool_.bytes(), ib::kAllAccess);
+  }
   conns_.clear();
   conns_.resize(static_cast<std::size_t>(size()));
-
-  if (cfg_.lazy_connect) {
-    // Lazy bootstrap: no per-pair rings, MRs, or QPs -- a rank's footprint
-    // at init is O(1), not O(ranks).  Connections are born cold; the first
-    // put() runs the on-demand handshake (ensure_tx / lazy_service).  The
-    // shared receive pool, when configured, is allocated and registered
-    // once here: one rkey covers every lease it will ever hand out.
-    if (cfg_.srq_pool_rings > 0) {
-      srq_pool_.reset(cfg_.srq_pool_rings, kRingBytes);
-      srq_mr_ = co_await pd_->register_memory(
-          srq_pool_.base(), srq_pool_.bytes(), ib::kAllAccess);
-    }
-    for (int p = 0; p < size(); ++p) {
-      if (p == rank()) continue;
-      auto conn = make_connection();
-      conn->peer = p;
-      conn->rail_failed.assign(static_cast<std::size_t>(num_rails_), 0);
-      conn->boot = VerbsConnection::Boot::kCold;
-      // The peer's node is known from the process map alone -- needed for
-      // connect-request wakeups before any QP exists.
-      conn->peer_node = &ctx_->fabric().node(
-          static_cast<std::size_t>(p / ctx_->ranks_per_node));
-      conns_[static_cast<std::size_t>(p)] = std::move(conn);
-    }
-    co_await ctx_->barrier->arrive();
-    co_return;
-  }
-
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
     auto conn = make_connection();
     conn->peer = p;
     conn->rail_failed.assign(static_cast<std::size_t>(num_rails_), 0);
-    conn->recv_ring.resize(kRingBytes);
-    conn->rx = conn->recv_ring.data();
-    ready_recv_ring(conn->rx, cfg_.chunk_bytes);
-    conn->staging.resize(kRingBytes);
-    conn->ring_mr = co_await pd_->register_memory(
-        conn->recv_ring.data(), conn->recv_ring.size(), ib::kAllAccess);
-    conn->staging_mr = co_await pd_->register_memory(
-        conn->staging.data(), conn->staging.size(), ib::kAllAccess);
-    conn->ctrl_mr = co_await pd_->register_memory(&conn->ctrl,
-                                                  sizeof(CtrlBlock),
-                                                  ib::kAllAccess);
-    conn->qp = &node().hca().create_qp(*pd_, *cq_, *cq_);
-    ++stats_.qps_created;
-    kvs.put_u64(key(rank(), p, "qpn"), conn->qp->qp_num());
-    kvs.put_u64(key(rank(), p, "ring_addr"),
-                reinterpret_cast<std::uint64_t>(conn->recv_ring.data()));
-    kvs.put_u64(key(rank(), p, "ring_rkey"), conn->ring_mr->rkey());
-    kvs.put_u64(key(rank(), p, "ctrl_addr"),
-                reinterpret_cast<std::uint64_t>(&conn->ctrl));
-    kvs.put_u64(key(rank(), p, "ctrl_rkey"), conn->ctrl_mr->rkey());
+    if (cfg_.lazy_connect) {
+      conn->boot = VerbsConnection::Boot::kCold;
+      // The peer's node is known from the process map alone -- needed for
+      // connect-request wakeups before any QP exists.
+      conn->peer_node = &ctx_->fabric().node(
+          static_cast<std::size_t>(p / ctx_->ranks_per_node));
+    }
     conns_[static_cast<std::size_t>(p)] = std::move(conn);
   }
 
-  // Fetch peer endpoints; the lower rank of each pair connects the QPs.
+  if (cfg_.lazy_connect) {
+    co_await ctx_->barrier->arrive();
+    co_return;
+  }
+
+  // Eager bootstrap: a lazy connect's two steps for every peer at once --
+  // publish my half toward each, then join each peer's half (the lower rank
+  // of each pair connects the QPs).  peer_node stays unset until the
+  // barrier, so the setup schedules no wakeups.
+  for (auto& c : conns_) {
+    if (c) co_await setup_half(*c);
+  }
   for (int p = 0; p < size(); ++p) {
     if (p == rank()) continue;
-    VerbsConnection& c = *conns_[static_cast<std::size_t>(p)];
-    c.r_ring_addr = co_await kvs.get_u64(key(p, rank(), "ring_addr"));
-    c.r_ring_rkey = static_cast<std::uint32_t>(
-        co_await kvs.get_u64(key(p, rank(), "ring_rkey")));
-    c.r_ctrl_addr = co_await kvs.get_u64(key(p, rank(), "ctrl_addr"));
-    c.r_ctrl_rkey = static_cast<std::uint32_t>(
-        co_await kvs.get_u64(key(p, rank(), "ctrl_rkey")));
-    if (rank() < p) {
-      const auto peer_qpn = static_cast<std::uint32_t>(
-          co_await kvs.get_u64(key(p, rank(), "qpn")));
-      ib::QueuePair* peer_qp = ctx_->fabric().find_qp(peer_qpn);
-      if (peer_qp == nullptr) {
-        throw std::runtime_error("bootstrap: peer QP not found");
-      }
-      c.qp->connect(*peer_qp);
-    }
+    const pmi::Record* ep =
+        co_await ctx_->kvs->get(endpoint_key(p, rank(), 0));
+    join_half(*conns_[static_cast<std::size_t>(p)], *ep);
   }
   co_await ctx_->barrier->arrive();
 
   // Both directions are connected now: index QPs for error-CQE dispatch and
   // remember the peer node for out-of-band recovery wakeups.
-  for (int p = 0; p < size(); ++p) {
-    if (p == rank()) continue;
-    VerbsConnection& c = *conns_[static_cast<std::size_t>(p)];
-    c.peer_node = &c.qp->peer()->node();
-    qp_index_[c.qp->qp_num()] = &c;
+  for (auto& c : conns_) {
+    if (!c) continue;
+    c->peer_node = &c->qp->peer()->node();
+    qp_index_[c->qp->qp_num()] = c.get();
     ++qps_live_;
   }
 }
@@ -578,7 +551,7 @@ void VerbsChannelBase::convict(VerbsConnection& c, Conviction why,
   c.rec.dead = true;
   // Publish the verdict *before* throwing so the peer -- possibly parked
   // inside its own handshake wait -- is released rather than deadlocked.
-  ctx_->kvs->put_recovery(dead_key(rank(), c.peer), 1);
+  ctx_->kvs->put_recovery(dead_key(rank(), c.peer), {});
   wake_peer(c);
   if (why == Conviction::kWatchdog) node().dma_arrival().fire();
   post_obituary(c);
@@ -688,7 +661,7 @@ void VerbsChannelBase::schedule_retry_wakeup() {
 bool VerbsChannelBase::peer_epoch_pending(VerbsConnection& c) const {
   const pmi::Kvs& kvs = *ctx_->kvs;
   return kvs.recovery_version() != 0 &&
-         kvs.has(rec_key(c.peer, rank(), c.rec.epoch + 1, "qpn"));
+         kvs.has(rec_key(c.peer, rank(), c.rec.epoch + 1));
 }
 
 bool VerbsChannelBase::peer_declared_dead(const VerbsConnection& c) const {
@@ -759,39 +732,27 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   // Fresh QP on the lowest live rail (rail 0 unless its port died -- a rail
   // failure is a failover, not a retry storm; with every rail dead we stay
   // on rail 0 and let the attempt budget declare the connection dead).
-  // Publish my half of the epoch handshake: the new QP number and how much
-  // of the peer's stream I had consumed (its replay start).
+  // Publish my half of the epoch handshake as one record: the new QP number
+  // and how much of the peer's stream I had consumed (its replay start).
   if (!c.qp->port().up()) note_rail_dead(c, c.qp->port().rail());
   c.qp = &create_rail_qp(lowest_live_rail());
-  kvs.put_recovery(rec_key(rank(), c.peer, next_epoch, "qpn"),
-                   c.qp->qp_num());
-  kvs.put_recovery(rec_key(rank(), c.peer, next_epoch, "consumed"),
-                   journal_consumed(c));
+  kvs.put_recovery(rec_key(rank(), c.peer, next_epoch),
+                   {c.qp->qp_num(), journal_consumed(c)});
   wake_peer(c);
 
   // Join the peer's half -- unless it declared the connection dead, or the
   // watchdog deadline passes first (a peer that never answers must not
   // park this rank forever).
-  const bool bounded = watchdog_armed(c);
-  std::optional<std::string> peer_qpn_s;
-  std::optional<std::string> peer_consumed_s;
-  if (bounded) {
-    peer_qpn_s = co_await kvs.get_unless_before(
-        rec_key(c.peer, rank(), next_epoch, "qpn"), dead_key(c.peer, rank()),
-        c.rec.deadline);
-    if (peer_qpn_s) {
-      peer_consumed_s = co_await kvs.get_unless_before(
-          rec_key(c.peer, rank(), next_epoch, "consumed"),
-          dead_key(c.peer, rank()), c.rec.deadline);
-    }
+  const pmi::Record* peer = nullptr;
+  if (watchdog_armed(c)) {
+    peer = co_await kvs.get_unless_before(rec_key(c.peer, rank(), next_epoch),
+                                          dead_key(c.peer, rank()),
+                                          c.rec.deadline);
   } else {
-    peer_qpn_s = co_await kvs.get_unless(
-        rec_key(c.peer, rank(), next_epoch, "qpn"), dead_key(c.peer, rank()));
-    peer_consumed_s = co_await kvs.get_unless(
-        rec_key(c.peer, rank(), next_epoch, "consumed"),
-        dead_key(c.peer, rank()));
+    peer = co_await kvs.get_unless(rec_key(c.peer, rank(), next_epoch),
+                                   dead_key(c.peer, rank()));
   }
-  if (!peer_qpn_s || !peer_consumed_s) {
+  if (peer == nullptr) {
     if (!peer_declared_dead(c) && watchdog_expired(c)) {
       convict(c, Conviction::kWatchdog, "handshake");
     }
@@ -802,9 +763,8 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
                        ChannelError::kDead,
                        make_snapshot(c, "peer-declared-dead"));
   }
-  const auto peer_qpn =
-      static_cast<std::uint32_t>(std::stoull(*peer_qpn_s));
-  const std::uint64_t peer_consumed = std::stoull(*peer_consumed_s);
+  const auto peer_qpn = static_cast<std::uint32_t>((*peer)[0]);
+  const std::uint64_t peer_consumed = (*peer)[1];
 
   // Same connect protocol as bootstrap: the lower rank wires the pair.
   if (rank() < c.peer) {
@@ -848,12 +808,11 @@ sim::Task<void> VerbsChannelBase::recover(VerbsConnection& c) {
   co_await replay(c, peer_consumed);
 }
 
-sim::Task<void> VerbsChannelBase::lazy_setup_extra(VerbsConnection&) {
+sim::Task<void> VerbsChannelBase::setup_extra(VerbsConnection&,
+                                              pmi::Record&) {
   co_return;
 }
-sim::Task<void> VerbsChannelBase::lazy_join_extra(VerbsConnection&) {
-  co_return;
-}
+void VerbsChannelBase::join_extra(VerbsConnection&, const pmi::Record&) {}
 sim::Task<void> VerbsChannelBase::lazy_evict_extra(VerbsConnection&) {
   co_return;
 }
@@ -862,8 +821,11 @@ sim::Task<void> VerbsChannelBase::pre_progress() {
   if (cfg_.lazy_connect) co_await lazy_service();
 }
 
-void VerbsChannelBase::lz_post_mail(VerbsConnection& c, std::string msg) {
-  ctx_->kvs->append(lz_mail_key(c.peer), std::move(msg));
+void VerbsChannelBase::lz_post_mail(VerbsConnection& c, std::uint64_t op,
+                                    std::uint64_t gen,
+                                    std::uint64_t consumed) {
+  ctx_->kvs->append(lz_mail_key(c.peer),
+                    {op, static_cast<std::uint64_t>(rank()), gen, consumed});
   wake_peer(c);
 }
 
@@ -898,11 +860,9 @@ sim::Task<void> VerbsChannelBase::lz_pace(VerbsConnection& c,
   wake_peer(c);  // re-nudge: the peer may have slept through the first one
 }
 
-sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
+sim::Task<bool> VerbsChannelBase::setup_half(VerbsConnection& c) {
   if (c.lz_local_ready) co_return true;
-  pmi::Kvs& kvs = *ctx_->kvs;
-  std::uint64_t ring_addr = 0;
-  std::uint32_t ring_rkey = 0;
+  std::uint64_t ring_rkey = 0;
   if (srq_pool_.configured()) {
     std::byte* lease = srq_pool_.acquire();
     if (lease == nullptr) {
@@ -915,14 +875,12 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
     }
     c.rx = lease;
     c.ring_pooled = true;
-    ring_addr = reinterpret_cast<std::uint64_t>(lease);
     ring_rkey = srq_mr_->rkey();
   } else {
     c.recv_ring.resize(kRingBytes);
     c.rx = c.recv_ring.data();
     c.ring_mr = co_await pd_->register_memory(c.rx, kRingBytes,
                                               ib::kAllAccess);
-    ring_addr = reinterpret_cast<std::uint64_t>(c.rx);
     ring_rkey = c.ring_mr->rkey();
   }
   ready_recv_ring(c.rx, cfg_.chunk_bytes);
@@ -934,20 +892,32 @@ sim::Task<bool> VerbsChannelBase::lazy_setup_local(VerbsConnection& c) {
   c.ctrl_mr = co_await pd_->register_memory(&c.ctrl, sizeof(CtrlBlock),
                                             ib::kAllAccess);
   c.qp = &create_rail_qp(lowest_live_rail());
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ring_addr"), ring_addr);
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ring_rkey"), ring_rkey);
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ctrl_addr"),
-              reinterpret_cast<std::uint64_t>(&c.ctrl));
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "ctrl_rkey"),
-              c.ctrl_mr->rkey());
-  co_await lazy_setup_extra(c);
-  // qpn is published last: its presence tells the peer that every other
-  // key of this generation (including design extras) is readable
-  // synchronously -- the join never blocks on a half-written half.
-  kvs.put_u64(lazy_key(rank(), c.peer, c.lz_gen, "qpn"), c.qp->qp_num());
+  pmi::Record ep{c.qp->qp_num(), reinterpret_cast<std::uint64_t>(c.rx),
+                 ring_rkey, reinterpret_cast<std::uint64_t>(&c.ctrl),
+                 c.ctrl_mr->rkey()};
+  co_await setup_extra(c, ep);
+  ctx_->kvs->put(endpoint_key(rank(), c.peer, c.lz_gen), std::move(ep));
   c.lz_local_ready = true;
   wake_peer(c);
   co_return true;
+}
+
+void VerbsChannelBase::join_half(VerbsConnection& c, const pmi::Record& ep) {
+  c.r_ring_addr = ep[kEpRingAddr];
+  c.r_ring_rkey = static_cast<std::uint32_t>(ep[kEpRingRkey]);
+  c.r_ctrl_addr = ep[kEpCtrlAddr];
+  c.r_ctrl_rkey = static_cast<std::uint32_t>(ep[kEpCtrlRkey]);
+  // Design extras (auxiliary QPs) wire first; the main QP connect is the
+  // commit point a lazy higher rank polls.
+  join_extra(c, ep);
+  if (rank() > c.peer) return;  // the lower rank wires the pair
+  ib::QueuePair* peer_qp =
+      ctx_->fabric().find_qp(static_cast<std::uint32_t>(ep[kEpQpn]));
+  if (peer_qp == nullptr) {
+    throw std::runtime_error("connect: peer QP not found");
+  }
+  c.qp->connect(*peer_qp);
+  wake_peer(c);
 }
 
 sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
@@ -960,38 +930,14 @@ sim::Task<void> VerbsChannelBase::lazy_advance(VerbsConnection& c) {
     lz_unpend(c.peer);
     co_return;
   }
-  const bool have_local = co_await lazy_setup_local(c);
+  const bool have_local = co_await setup_half(c);
   if (!have_local) co_return;
-  pmi::Kvs& kvs = *ctx_->kvs;
-  const std::string* qpn_s = kvs.find(lazy_key(c.peer, rank(), c.lz_gen,
-                                               "qpn"));
-  if (qpn_s == nullptr) co_return;  // peer half not published yet
-  c.r_ring_addr =
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ring_addr")));
-  c.r_ring_rkey = static_cast<std::uint32_t>(
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ring_rkey"))));
-  c.r_ctrl_addr =
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ctrl_addr")));
-  c.r_ctrl_rkey = static_cast<std::uint32_t>(
-      std::stoull(*kvs.find(lazy_key(c.peer, rank(), c.lz_gen, "ctrl_rkey"))));
-  if (rank() < c.peer) {
-    if (!c.qp->connected()) {
-      ib::QueuePair* peer_qp =
-          ctx_->fabric().find_qp(static_cast<std::uint32_t>(
-              std::stoull(*qpn_s)));
-      if (peer_qp == nullptr) {
-        throw std::runtime_error("lazy connect: peer QP not found");
-      }
-      // Design extras (auxiliary QPs) wire first; the main QP connect is
-      // the commit point the higher rank polls.
-      co_await lazy_join_extra(c);
-      c.qp->connect(*peer_qp);
-      wake_peer(c);
-    }
-  } else {
-    if (!c.qp->connected()) co_return;  // the lower rank wires the pair
-    co_await lazy_join_extra(c);
-  }
+  const pmi::Record* ep =
+      ctx_->kvs->find(endpoint_key(c.peer, rank(), c.lz_gen));
+  if (ep == nullptr) co_return;  // peer half not published yet
+  // The higher rank joins once the lower one has connected the pair.
+  if (rank() > c.peer && !c.qp->connected()) co_return;
+  join_half(c, *ep);
   c.peer_node = &c.qp->peer()->node();
   qp_index_[c.qp->qp_num()] = &c;
   c.boot = VerbsConnection::Boot::kReady;
@@ -1068,6 +1014,7 @@ sim::Task<void> VerbsChannelBase::lazy_teardown(VerbsConnection& c) {
   c.rec.last_synced_local = 0;
   // rec.epoch survives (see VerbsConnection::lz_gen comment).
   c.lz_local_ready = false;
+  c.lz_flush_asks = 0;
   ++c.lz_gen;
   c.boot = VerbsConnection::Boot::kCold;
   lz_deactivate(c.peer);
@@ -1092,6 +1039,8 @@ sim::Task<void> VerbsChannelBase::lazy_maybe_evict() {
   // the rank dimension).  A connection with outstanding journal state, a
   // recovery in flight, or a design veto (open rendezvous) is pinned.
   VerbsConnection* victim = nullptr;
+  // LRU connection pinned only by the peer's deferred consumption ack.
+  VerbsConnection* ack_pinned = nullptr;
   for (int p : active_) {
     if (p == lz_protect_) continue;  // the caller is mid-op on this peer
     VerbsConnection& c = *conns_[static_cast<std::size_t>(p)];
@@ -1100,13 +1049,33 @@ sim::Task<void> VerbsChannelBase::lazy_maybe_evict() {
         !lazy_evictable(c)) {
       continue;
     }
-    if (journal_acked(c) != journal_produced(c)) continue;
     if (!over_budget && !c.ring_pooled) continue;  // must free a lease
+    if (journal_acked(c) != journal_produced(c)) {
+      if (ack_pinned == nullptr || c.lz_last_used < ack_pinned->lz_last_used) {
+        ack_pinned = &c;
+      }
+      continue;
+    }
+    c.lz_flush_asks = 0;  // the pin cleared: a new one starts a new series
     if (victim == nullptr || c.lz_last_used < victim->lz_last_used) {
       victim = &c;
     }
   }
-  if (victim == nullptr) co_return;  // soft budget: nothing evictable now
+  if (victim == nullptr) {
+    // Soft budget: nothing evictable now.  An idle peer that owes its ack
+    // never sends it on its own (it is not under pressure), so ask -- with
+    // backoff, not once per service pass, and again later in case it had
+    // not consumed everything yet.  A kReady connection has no handshake
+    // to pace, so lz_next_attempt paces these requests.
+    const sim::Tick now = ctx_->sim().now();
+    VerbsConnection* a = ack_pinned;
+    if (a != nullptr && now >= a->lz_next_attempt) {
+      if (a->lz_flush_asks < UINT8_MAX) ++a->lz_flush_asks;
+      a->lz_next_attempt = now + capped_backoff(a->lz_flush_asks);
+      lz_post_mail(*a, kLzFlush, a->lz_gen);
+    }
+    co_return;
+  }
   VerbsConnection& v = *victim;
   v.boot = VerbsConnection::Boot::kEvictWait;
   v.rec.attempts = 0;
@@ -1116,24 +1085,16 @@ sim::Task<void> VerbsChannelBase::lazy_maybe_evict() {
   // set still needed (see the qp_thrash accounting in lazy_advance).
   v.lz_evicted_at = ++lz_evict_seq_;
   lz_evict_peer_ = v.peer;
-  lz_post_mail(v, "e:" + std::to_string(rank()) + ":" +
-                      std::to_string(v.lz_gen) + ":" +
-                      std::to_string(journal_consumed(v)));
+  lz_post_mail(v, kLzEvict, v.lz_gen, journal_consumed(v));
 }
 
-sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
-  // "<op>:<from>:<gen>[:<consumed>]"
-  const std::size_t a = msg.find(':');
-  const std::size_t b = msg.find(':', a + 1);
-  const std::size_t d = msg.find(':', b + 1);
-  const char op = msg[0];
-  const int from = std::stoi(msg.substr(a + 1, b - a - 1));
-  const std::uint64_t gen = std::stoull(
-      msg.substr(b + 1, d == std::string::npos ? d : d - b - 1));
+sim::Task<void> VerbsChannelBase::lz_handle_mail(std::uint64_t op, int from,
+                                                 std::uint64_t gen,
+                                                 std::uint64_t consumed) {
   VerbsConnection& c = *conns_[static_cast<std::size_t>(from)];
   using Boot = VerbsConnection::Boot;
   switch (op) {
-    case 'c':
+    case kLzConnect:
       // Connect request: the passive side joins the rendezvous.  A stale
       // generation, or a connection we already consider requested/wired,
       // needs no action (both sides may initiate simultaneously).
@@ -1145,11 +1106,9 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
         co_await lazy_advance(c);
       }
       co_return;
-    case 'e': {
-      const std::uint64_t peer_consumed = std::stoull(msg.substr(d + 1));
+    case kLzEvict: {
       if (gen != c.lz_gen) {
-        lz_post_mail(c, "n:" + std::to_string(rank()) + ":" +
-                            std::to_string(gen));
+        lz_post_mail(c, kLzNak, gen);
         co_return;
       }
       if (c.boot == Boot::kEvictWait) {
@@ -1169,35 +1128,37 @@ sim::Task<void> VerbsChannelBase::lz_handle_mail(const std::string& msg) {
       const bool ok =
           c.boot == Boot::kReady && !c.rec.failed && !c.rec.dead &&
           !c.integrity_failed && !peer_epoch_pending(c) &&
-          lazy_evictable(c) && peer_consumed == journal_produced(c) &&
+          lazy_evictable(c) && consumed == journal_produced(c) &&
           journal_acked(c) == journal_produced(c);
       if (!ok) {
-        lz_post_mail(c, "n:" + std::to_string(rank()) + ":" +
-                            std::to_string(gen));
+        lz_post_mail(c, kLzNak, gen);
         co_return;
       }
       co_await lazy_teardown(c);
       ++stats_.qps_evicted;
       // Acknowledge only after the teardown's quiesce: when the initiator
       // processes this, nothing of ours can still be in flight toward it.
-      lz_post_mail(c, "a:" + std::to_string(rank()) + ":" +
-                          std::to_string(gen));
+      lz_post_mail(c, kLzAck, gen);
       co_return;
     }
-    case 'a':
+    case kLzAck:
       if (gen == c.lz_gen && c.boot == Boot::kEvictWait) {
         co_await lazy_teardown(c);
         ++stats_.qps_evicted;
       }
       if (lz_evict_peer_ == from) lz_evict_peer_ = -1;
       co_return;
-    case 'n':
+    case kLzNak:
       if (gen == c.lz_gen && c.boot == Boot::kEvictWait) {
         c.boot = Boot::kReady;
         c.lz_evicted_at = 0;  // eviction refused: no teardown, no thrash
         lz_touch(c);          // do not immediately re-pick the same victim
       }
       if (lz_evict_peer_ == from) lz_evict_peer_ = -1;
+      co_return;
+    case kLzFlush:
+      // The peer's eviction scan is blocked on my deferred ack alone.
+      if (gen == c.lz_gen && c.boot == Boot::kReady) lazy_flush_acks(c);
       co_return;
     default:
       co_return;
@@ -1210,11 +1171,13 @@ sim::Task<void> VerbsChannelBase::lazy_service() {
   std::exception_ptr err;
   try {
     if (lz_mail_ == nullptr) lz_mail_ = &ctx_->kvs->mail(lz_mail_key(rank()));
-    const std::vector<std::string>& box = *lz_mail_;
+    const std::vector<pmi::Record>& box = *lz_mail_;
     while (lz_mail_cursor_ < box.size()) {
-      const std::string msg = box[lz_mail_cursor_];
+      // Words are copied into the handler's frame before it can suspend
+      // (an append during the suspension may reallocate `box`).
+      const pmi::Record& m = box[lz_mail_cursor_];
       ++lz_mail_cursor_;
-      co_await lz_handle_mail(msg);
+      co_await lz_handle_mail(m[0], static_cast<int>(m[1]), m[2], m[3]);
     }
     if (!lz_pending_.empty()) {
       const std::vector<int> pending = lz_pending_;
@@ -1276,8 +1239,7 @@ sim::Task<bool> VerbsChannelBase::ensure_tx(VerbsConnection& c) {
     c.rec.attempts = 0;
     c.lz_next_attempt = ctx_->sim().now();
     lz_pending_.push_back(c.peer);
-    lz_post_mail(c, "c:" + std::to_string(rank()) + ":" +
-                        std::to_string(c.lz_gen));
+    lz_post_mail(c, kLzConnect, c.lz_gen);
     co_await lazy_advance(c);
     if (c.boot == Boot::kReady) co_return true;  // peer half was waiting
   }

@@ -67,6 +67,19 @@ inline constexpr std::size_t kCtrlHeadReplicaOff = 16;
 inline constexpr std::size_t kCtrlHeadMasterOff = 32;
 inline constexpr std::size_t kCtrlTailMasterOff = 48;
 
+/// Word layout of a connection half's endpoint record -- everything the
+/// peer needs to wire the pair, published once per connect generation under
+/// one key, like ibv_rc_pingpong's `pingpong_dest`.  A design's extra words (the
+/// adaptive FIN landing zone and auxiliary QP numbers) follow kEpBaseWords.
+enum EndpointWord : std::size_t {
+  kEpQpn,
+  kEpRingAddr,
+  kEpRingRkey,
+  kEpCtrlAddr,
+  kEpCtrlRkey,
+  kEpBaseWords
+};
+
 class VerbsConnection : public Connection {
  public:
   ib::QueuePair* qp = nullptr;
@@ -155,20 +168,24 @@ class VerbsConnection : public Connection {
   /// are born kReady; under ChannelConfig::lazy_connect they are born kCold
   /// and walk kCold -> kRequested -> kReady on first use, then kReady ->
   /// kEvictWait -> kCold when the LRU cache shrinks the wired set back
-  /// under qp_budget.  Every KVS key of the lazy handshake is
-  /// generation-scoped (lz_gen bumps at each teardown) so reconnects are
-  /// fresh write-once exchanges, exactly like the epoch-scoped recovery
-  /// keys.
+  /// under qp_budget.  The endpoint record key is generation-scoped (lz_gen
+  /// bumps at each teardown) so reconnects are fresh write-once exchanges,
+  /// exactly like the epoch-scoped recovery records.
   enum class Boot { kCold, kRequested, kReady, kEvictWait };
   Boot boot = Boot::kReady;
   /// Connect generation; evictions bump it.  rec.epoch deliberately
   /// survives teardown -- stale rcv:* keys from a previous life must not
   /// fake a pending peer re-handshake after a reconnect.
   std::uint64_t lz_gen = 0;
-  /// My half of the handshake (ring lease, QP, published keys) exists for
-  /// lz_gen.
+  /// My half of the handshake (ring lease, QP, published record) exists
+  /// for lz_gen.
   bool lz_local_ready = false;
-  /// Connect / evict-wait retry pacing (rec.attempts is the shared budget).
+  /// Flush requests sent since the peer's deferred ack last stopped pinning
+  /// this connection's eviction (lazy_maybe_evict); their spacing backs off
+  /// like any retry.
+  std::uint8_t lz_flush_asks = 0;
+  /// Connect / evict-wait retry pacing (rec.attempts is the shared budget);
+  /// while kReady, the pacing of flush requests to the peer.
   sim::Tick lz_next_attempt = 0;
   /// LRU stamp from the channel's use clock; 0 = never used.
   std::uint64_t lz_last_used = 0;
@@ -472,22 +489,20 @@ class VerbsChannelBase : public Channel {
   virtual void lazy_reset_journal(VerbsConnection&) {}
   /// Pushes out deferred consumption acknowledgements (piggybacked tail
   /// updates waiting for reverse traffic that may never come).  Called on
-  /// wired connections while this rank is under cache pressure: an unsent
-  /// ack pins the PEER's journal, so flushing is what lets the peer evict
-  /// its half.  Default no-op (designs that ack on every get need none).
+  /// wired connections while this rank is under cache pressure, and on the
+  /// one a peer's flush request names: an unsent ack pins the PEER's
+  /// journal, so flushing is what lets the peer evict its half.  Default
+  /// no-op (designs that ack on every get need none).
   virtual void lazy_flush_acks(VerbsConnection&) {}
-  /// Design hooks around the lazy handshake: per-connection extras
-  /// (auxiliary QPs, flag arrays) created with the local half, joined with
-  /// the peer half, and dropped at teardown.  Defaults are no-ops.
-  virtual sim::Task<void> lazy_setup_extra(VerbsConnection& c);
-  virtual sim::Task<void> lazy_join_extra(VerbsConnection& c);
+  /// Design hooks around the endpoint exchange (eager and lazy alike):
+  /// per-connection extras (auxiliary QPs, flag arrays) are created with
+  /// the local half and append their words to its endpoint record, are
+  /// wired from the peer's record (its words from kEpBaseWords on, in the
+  /// order setup_extra appended them), and are dropped at lazy teardown.
+  /// Defaults are no-ops.
+  virtual sim::Task<void> setup_extra(VerbsConnection& c, pmi::Record& ep);
+  virtual void join_extra(VerbsConnection& c, const pmi::Record& ep);
   virtual sim::Task<void> lazy_evict_extra(VerbsConnection& c);
-
-  /// Generation-scoped KVS key of the lazy handshake; design hooks publish
-  /// their extras under it so re-publishes after an eviction stay
-  /// write-once.
-  static std::string lazy_key(int from, int to, std::uint64_t gen,
-                              const char* what);
 
   /// Charges the per-call software overhead, flushing any modelled CRC
   /// cost accumulated since the last coroutine point first.
@@ -573,19 +588,27 @@ class VerbsChannelBase : public Channel {
   /// published a recovery key (Kvs::recovery_version).
   bool peer_declared_dead(const VerbsConnection& c) const;
 
+  // ---- endpoint exchange (eager bootstrap and lazy connect) ---------------
+  /// Step one: allocates my half of `c` (ring lease or dedicated ring,
+  /// staging, ctrl, QP, design extras) and publishes it as one endpoint
+  /// record for c.lz_gen.  False = shared receive pool exhausted (counted
+  /// as a credit stall; caller retries).  Idempotent per generation.
+  sim::Task<bool> setup_half(VerbsConnection& c);
+  /// Step two: takes the peer's endpoint record -- remote ring and ctrl
+  /// block, design extras -- and, on the lower rank, connects the pair.
+  void join_half(VerbsConnection& c, const pmi::Record& ep);
+
   // ---- lazy connect internals ---------------------------------------------
   /// One pass of the lazy control plane: drains the handshake mailbox,
   /// drives pending joins, then enforces qp_budget.  Reentrancy-guarded --
   /// every put/get/progress pass calls it.
   sim::Task<void> lazy_service();
-  sim::Task<void> lz_handle_mail(const std::string& msg);
+  /// Handles one mailbox record {op, from, gen, consumed}.
+  sim::Task<void> lz_handle_mail(std::uint64_t op, int from, std::uint64_t gen,
+                                 std::uint64_t consumed);
   /// Drives one kRequested connection: sets up the local half if needed,
-  /// then joins the peer half once its qpn sentinel is published.
+  /// then joins the peer half once its endpoint record is published.
   sim::Task<void> lazy_advance(VerbsConnection& c);
-  /// Allocates my half (ring lease or dedicated ring, staging, ctrl, QP)
-  /// and publishes the generation-scoped keys, qpn last.  False = shared
-  /// receive pool exhausted (counted as a credit stall; caller retries).
-  sim::Task<bool> lazy_setup_local(VerbsConnection& c);
   /// Tears down a drained connection back to kCold and bumps lz_gen.
   sim::Task<void> lazy_teardown(VerbsConnection& c);
   /// Starts one LRU eviction handshake when the wired set exceeds
@@ -595,8 +618,10 @@ class VerbsChannelBase : public Channel {
   /// throws ChannelError::kDead when it runs out (publishing the dead
   /// marker first, like recovery budget exhaustion).
   sim::Task<void> lz_pace(VerbsConnection& c, const char* stage);
-  /// Appends a control message to the peer's mailbox and wakes it.
-  void lz_post_mail(VerbsConnection& c, std::string msg);
+  /// Appends the control record {op, my rank, gen, consumed} to the peer's
+  /// mailbox and wakes it.
+  void lz_post_mail(VerbsConnection& c, std::uint64_t op, std::uint64_t gen,
+                    std::uint64_t consumed = 0);
   void lz_touch(VerbsConnection& c) { c.lz_last_used = ++lz_clock_; }
   void lz_activate(int peer);
   void lz_deactivate(int peer);
@@ -634,7 +659,7 @@ class VerbsChannelBase : public Channel {
   std::vector<int> lz_pending_;
   /// This rank's handshake mailbox, fetched once by the first service pass
   /// (Kvs::mail references are stable).
-  const std::vector<std::string>* lz_mail_ = nullptr;
+  const std::vector<pmi::Record>* lz_mail_ = nullptr;
   bool lz_service_busy_ = false;
   /// Peer of the one in-flight eviction handshake, or -1.
   int lz_evict_peer_ = -1;

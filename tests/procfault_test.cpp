@@ -110,8 +110,7 @@ void check_obituary_propagation(rdmach::Design design) {
     if (ctx.rank != 0) {
       // Late senders: only approach the corpse once the obituary is
       // published, so any budget they burn would be a propagation bug.
-      const std::string posted =
-          co_await ctx.kvs->get("ft:dead:3");
+      const pmi::Record* posted = co_await ctx.kvs->get("ft:dead:3");
       (void)posted;
     }
     try {
@@ -252,7 +251,7 @@ AgreeOutcome run_agree_death(AgreeDeath death) {
           death == AgreeDeath::kLeaderContributedThenSilent) {
         // Whitebox: the member got as far as publishing its contribution
         // (world context 0, first agree -> sequence 1) and then died.
-        ctx.kvs->put("agr:0:1:c:" + std::to_string(ctx.rank), "5");
+        ctx.kvs->put("agr:0:1:c:" + std::to_string(ctx.rank), {5});
       }
       co_return;  // silent forever after
     }
@@ -403,7 +402,7 @@ TEST_P(ProcFaultDesignTest, DeadMemberUniformErrorThenShrinkContinues) {
       } else {
         // Enter only once the obituary is on the board, so the error comes
         // from the uniform entry check, not a second conviction.
-        const std::string posted = co_await ctx.kvs->get("ft:dead:3");
+        const pmi::Record* posted = co_await ctx.kvs->get("ft:dead:3");
         (void)posted;
         int in = ctx.rank, out = 0;
         co_await world.allreduce(&in, &out, 1, mpi::Datatype::kInt,
@@ -419,9 +418,9 @@ TEST_P(ProcFaultDesignTest, DeadMemberUniformErrorThenShrinkContinues) {
     // Survivors rendezvous on the board before anyone revokes, so the error
     // each one observed above is the entry check's ProcFailedError -- never
     // a racing peer's RevokedError.
-    ctx.kvs->put("uerr:" + std::to_string(ctx.rank), "1");
+    ctx.kvs->put("uerr:" + std::to_string(ctx.rank), {});
     for (int r = 0; r < 3; ++r) {
-      const std::string seen =
+      const pmi::Record* seen =
           co_await ctx.kvs->get("uerr:" + std::to_string(r));
       (void)seen;
     }

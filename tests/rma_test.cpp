@@ -501,13 +501,13 @@ TEST(RmaFault, AccumulateFailureReleasesRemoteLock) {
       } catch (const rdmach::ChannelError&) {
         failed = true;
       }
-      ctx.kvs->put("rma:lockleak:failed", "1");
+      ctx.kvs->put("rma:lockleak:failed", {});
     } else if (world.rank() == 2) {
       (void)co_await ctx.kvs->get("rma:lockleak:failed");
       co_await win->accumulate(&contrib, 1, mpi::Datatype::kLong,
                                mpi::Op::kSum, 0, 0);
       second_ok = true;
-      ctx.kvs->put("rma:lockleak:done", "1");
+      ctx.kvs->put("rma:lockleak:done", {});
     } else {
       (void)co_await ctx.kvs->get("rma:lockleak:done");
       final_value = mem[0];
@@ -578,7 +578,7 @@ TEST(RmaFault, RmaToDeadRankFailsFastUnderFtDetector) {
     } else {
       // Enter only once the obituary is on the board, so the error comes
       // from the uniform entry check.
-      const std::string posted = co_await ctx.kvs->get("ft:dead:3");
+      const pmi::Record* posted = co_await ctx.kvs->get("ft:dead:3");
       (void)posted;
       try {
         co_await win->put(&v, 1, mpi::Datatype::kLong, 3, 0);

@@ -19,6 +19,7 @@
 #include "ib/fabric.hpp"
 #include "ib/srq.hpp"
 #include "pmi/pmi.hpp"
+#include "rdmach/adaptive_channel.hpp"
 #include "rdmach/channel.hpp"
 #include "rdmach/piggyback_channel.hpp"
 #include "rdmach/verbs_base.hpp"
@@ -202,6 +203,72 @@ TEST_P(ScaleDesignTest, LazyConnectAllPairsMatchesEagerOracle) {
   }
 }
 
+/// Every wired pair's remote view must be the peer's local truth: ring,
+/// ctrl block and (adaptive) FIN landing zone address + rkey, the main QP
+/// connected to the peer's, and every aux QP to its peer counterpart.
+void expect_endpoints_match(Fleet& fleet, const char* mode) {
+  for (int a = 0; a < fleet.n; ++a) {
+    for (int b = 0; b < fleet.n; ++b) {
+      if (a == b) continue;
+      auto& mine = static_cast<VerbsConnection&>(
+          fleet.ch[static_cast<std::size_t>(a)]->connection(b));
+      auto& theirs = static_cast<VerbsConnection&>(
+          fleet.ch[static_cast<std::size_t>(b)]->connection(a));
+      const std::string pair =
+          std::string(mode) + " " + std::to_string(a) + "->" +
+          std::to_string(b);
+      ASSERT_NE(mine.qp, nullptr) << pair;
+      ASSERT_NE(theirs.ring_mr, nullptr) << pair;
+      EXPECT_EQ(mine.r_ring_addr, reinterpret_cast<std::uint64_t>(theirs.rx))
+          << pair;
+      EXPECT_EQ(mine.r_ring_rkey, theirs.ring_mr->rkey()) << pair;
+      EXPECT_EQ(mine.r_ctrl_addr,
+                reinterpret_cast<std::uint64_t>(&theirs.ctrl))
+          << pair;
+      EXPECT_EQ(mine.r_ctrl_rkey, theirs.ctrl_mr->rkey()) << pair;
+      EXPECT_EQ(mine.qp->peer(), theirs.qp) << pair;
+      if (fleet.cfg.design != Design::kAdaptive) continue;
+      auto& am = static_cast<AdaptiveConnection&>(mine);
+      auto& at = static_cast<AdaptiveConnection&>(theirs);
+      EXPECT_EQ(am.r_fin_addr,
+                reinterpret_cast<std::uint64_t>(at.fin_flags.data()))
+          << pair;
+      EXPECT_EQ(am.r_fin_rkey, at.fin_mr->rkey()) << pair;
+      ASSERT_EQ(am.aux.size(), at.aux.size()) << pair;
+      EXPECT_FALSE(am.aux.empty()) << pair;
+      for (std::size_t i = 0; i < am.aux.size(); ++i) {
+        EXPECT_EQ(am.aux[i]->peer(), at.aux[i]) << pair << " aux " << i;
+      }
+    }
+  }
+}
+
+TEST_P(ScaleDesignTest, EagerAndLazyEndpointsMatchPeerLocals) {
+  // The eager bootstrap and the lazy connect share one endpoint exchange;
+  // both must leave every pair wired to the peer's own buffers and QPs.
+  constexpr int kRanks = 4;
+  for (const bool lazy : {false, true}) {
+    ChannelConfig cfg;
+    cfg.design = GetParam();
+    cfg.lazy_connect = lazy;
+    Fleet fleet(kRanks, cfg);
+    std::vector<std::vector<std::vector<std::byte>>> got(
+        kRanks, std::vector<std::vector<std::byte>>(kRanks));
+    fleet.run([&](pmi::Context& ctx, Channel& ch) -> sim::Task<void> {
+      // Lazy: traffic on every pair wires it (no budget, so nothing is
+      // evicted before the check).
+      if (lazy) {
+        co_await all_pairs_body(ctx, ch, 64,
+                                got[static_cast<std::size_t>(ctx.rank)]);
+      }
+      co_await ctx.barrier->arrive();
+      if (ctx.rank == 0) expect_endpoints_match(fleet, lazy ? "lazy" : "eager");
+      co_await ctx.barrier->arrive();
+    });
+    ASSERT_TRUE(fleet.all_done()) << (lazy ? "lazy" : "eager");
+  }
+}
+
 TEST(ScaleDifferential, RingExchangeAt64RanksLazyBudgetMatchesEager) {
   // The rank-dimension point: 64 ranks, neighbour-ring traffic, lazy
   // connect with a 4-connection cache.  Per-rank QP state must stay
@@ -337,7 +404,7 @@ TEST(ConnectionCache, EvictionBlockedWhileJournalOutstanding) {
       // Over budget, but peer 1 has not consumed: the connection is
       // pinned by its outstanding journal.
       evicted_while_pinned = ch.stats().qps_evicted;
-      kvs.put("consume-now", "1");
+      kvs.put("consume-now", {});
       // Drive the control plane until the now-unpinned LRU connection is
       // evicted (the zero-length get runs the lazy service).  Self-wake on
       // a virtual timer: the tail update that unpins us arrives as a DMA,
@@ -571,6 +638,12 @@ TEST_P(PooledRingReuseTest, NewTenantReceivesOnlyItsOwnBytes) {
   // slots, the second one late: while rank 0 waits for it, slot 1 would
   // still carry A's gen-1 flags had readying the ring not zeroed them.
   // Rank 0 must receive exactly B's bytes.
+  //
+  // Rank 0 also answers A with one byte before wiring B.  A reads it late,
+  // defers its ack (one slot is under the tail-update threshold) and goes
+  // idle in finalize, so nothing would ever flush that ack: rank 0 must ask
+  // for it -- again after A's late read, but not once per service pass --
+  // to evict A.
   constexpr std::size_t kMsg = 4'000;  // one eager slot per put
   constexpr std::size_t kOld = 6;
   constexpr std::size_t kNew = 2;
@@ -585,21 +658,28 @@ TEST_P(PooledRingReuseTest, NewTenantReceivesOnlyItsOwnBytes) {
   std::vector<std::byte> got_a(a.size());
   std::vector<std::byte> got_b(b.size());
   ChannelStats st0;
+  std::byte reply_a{};
+  std::size_t mail_to_a = 0;
   fleet.run([&](pmi::Context& ctx, Channel& ch) -> sim::Task<void> {
     if (ctx.rank == 0) {
       Connection& c1 = ch.connection(1);
       co_await recv_all(ch, c1, got_a.data(), got_a.size());
+      const std::byte reply{2};
+      co_await send_all(ch, c1, &reply, 1);
       // Wiring rank 2 evicts rank 1 and hands its ring to the new tenant.
       Connection& c2 = ch.connection(2);
       const std::byte hello{1};
       co_await send_all(ch, c2, &hello, 1);
       co_await recv_all(ch, c2, got_b.data(), got_b.size());
       st0 = ch.stats();
+      mail_to_a = ctx.kvs->mail_count("lzm:1");
     } else if (ctx.rank == 1) {
       Connection& conn = ch.connection(0);
       for (std::size_t i = 0; i < kOld; ++i) {
         co_await send_all(ch, conn, a.data() + i * kMsg, kMsg);
       }
+      co_await ctx.sim().delay(sim::usec(300));
+      co_await recv_all(ch, conn, &reply_a, 1);
     } else {
       Connection& conn = ch.connection(0);
       std::byte hello{};
@@ -612,8 +692,12 @@ TEST_P(PooledRingReuseTest, NewTenantReceivesOnlyItsOwnBytes) {
   ASSERT_TRUE(fleet.all_done());
   EXPECT_EQ(got_a, a);
   EXPECT_EQ(got_b, b) << "tenant B received bytes it never sent";
+  EXPECT_EQ(reply_a, std::byte{2});
   EXPECT_GE(st0.qps_evicted, 1u) << "tenant A was never evicted";
   EXPECT_EQ(st0.srq_pool_high_water, 1u);
+  // Connect and evict requests plus one flush request per backoff step
+  // while A sat on the reply: a handful, not one per service pass.
+  EXPECT_LE(mail_to_a, 8u);
 }
 
 // ---------------------------------------------------------------------------
