@@ -22,16 +22,6 @@ void StreamMux::enqueue(int dst, const PktHeader& hdr, const void* payload,
   if (it == work_.end() || *it != dst) work_.insert(it, dst);
 }
 
-bool StreamMux::idle() const {
-  for (const auto& vc : vcs_) {
-    if (!vc.sendq.empty() || !vc.await_release.empty() || vc.hdr_got != 0 ||
-        vc.in_payload || !vc.ahead.empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 namespace {
 std::size_t expect_len(const PktHeader& hdr) {
   return hdr.type == PktType::kEager ? hdr.match.length : 0;

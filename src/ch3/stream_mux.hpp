@@ -46,8 +46,6 @@ class StreamMux {
   /// Returns true if any byte moved or any packet completed.
   sim::Task<bool> progress();
 
-  bool idle() const;
-
  private:
   struct OutMsg {
     PktHeader hdr;

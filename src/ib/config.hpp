@@ -93,8 +93,10 @@ struct FabricConfig {
   /// trace record and one `retry_delay` each), and the WQE completes with
   /// kTransportError only when all retry_count + 1 consecutive attempts
   /// fail.  With retry_count = 0 every attempt failure surfaces directly.
-  /// The error CQE lags the final attempt by the NAK round trip
-  /// (2 * wire_latency).  Pinned by Inject.RetryStormTimingMatchesDoc.
+  /// Exhaustion is an RC error like any other: the QP enters the error
+  /// state and everything posted behind the victim flushes.  The error CQE
+  /// lags the final attempt by the NAK round trip (2 * wire_latency).
+  /// Pinned by Inject.RetryStormTimingMatchesDoc.
   double inject_error_rate = 0.0;
   std::uint64_t inject_seed = 1;
   int retry_count = 7;

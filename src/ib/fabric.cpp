@@ -74,8 +74,4 @@ sim::Task<sim::Tick> Fabric::book_path(Port& src, Port& dst, std::int64_t n,
   co_return delivered;
 }
 
-sim::Task<sim::Tick> Fabric::book_path(Node& src, Node& dst, std::int64_t n) {
-  co_return co_await book_path(src.rail(0), dst.rail(0), n);
-}
-
 }  // namespace ib

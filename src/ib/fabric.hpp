@@ -61,13 +61,12 @@ class Fabric {
     return it == qp_dir_.end() ? nullptr : it->second;
   }
 
-  /// Books the chunked data path for `n` bytes from `src` to `dst`
-  /// (src bus -> src tx link -> wire -> dst rx link -> dst bus) and returns
-  /// the absolute delivery time of the last chunk.  Resumes the caller once
-  /// the *source-side* stages are fully booked so the caller can pipeline
-  /// its next descriptor behind this one.  The port-level overload is the
-  /// primitive (a QP's traffic rides its bound rail); the Node overload is
-  /// rail 0 of each end, the legacy single-rail path.  `deg` carries a
+  /// Books the chunked data path for `n` bytes from port `src` to port
+  /// `dst` (src bus -> src tx link -> wire -> dst rx link -> dst bus; a
+  /// QP's traffic rides its bound rail) and returns the absolute delivery
+  /// time of the last chunk.  Resumes the caller once the *source-side*
+  /// stages are fully booked so the caller can pipeline its next
+  /// descriptor behind this one.  `deg` carries a
   /// gray-failure degrade for this transfer (extra wire latency, scaled
   /// link service time); the default inactive spec takes the exact
   /// fault-free arithmetic path, keeping clean traces bit-identical.
@@ -75,7 +74,6 @@ class Fabric {
   /// no reference can dangle across suspension.
   sim::Task<sim::Tick> book_path(Port& src, Port& dst, std::int64_t n,
                                  sim::FaultSchedule::DegradeSpec deg = {});
-  sim::Task<sim::Tick> book_path(Node& src, Node& dst, std::int64_t n);
 
  private:
   friend class QueuePair;

@@ -251,6 +251,25 @@ bool QueuePair::validate_local(const std::vector<Sge>& sgl,
 
 void QueuePair::enter_error() { error_ = true; }
 
+void QueuePair::fail_wqe(const SendWr& wr) {
+  enter_error();
+  const Fabric& fabric = hca_->fabric();
+  complete(*send_cq_,
+           Wc{wr.wr_id, WcStatus::kTransportError, wr.opcode, 0, qp_num_,
+              false},
+           fabric.sim().now() + 2 * fabric.cfg().wire_latency);
+}
+
+sim::Task<void> QueuePair::kill_wqe(const SendWr& wr, const std::string& tag) {
+  Fabric& fabric = hca_->fabric();
+  const FabricConfig& cfg = fabric.cfg();
+  fabric.tracer().record(fabric.sim().now(), tag, "fault_kill",
+                         static_cast<std::int64_t>(wr.total_length()),
+                         wr.wr_id);
+  co_await fabric.sim().delay(cfg.retry_count * cfg.retry_delay);
+  fail_wqe(wr);
+}
+
 void QueuePair::read_done() {
   --reads_in_flight_;
   read_credit_->fire();
@@ -330,34 +349,19 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
     }
   }
   if (!port_->up()) {
-    fabric.tracer().record(sim.now(), tag, "fault_kill",
-                           static_cast<std::int64_t>(n), wr.wr_id);
-    co_await sim.delay(cfg.retry_count * cfg.retry_delay);
-    enter_error();
-    complete(*send_cq_,
-             Wc{wr.wr_id, WcStatus::kTransportError, wr.opcode, 0, qp_num_,
-                false},
-             sim.now() + 2 * cfg.wire_latency);
+    co_await kill_wqe(wr, tag);
     co_return;
   }
 
   // Permanent process death (FaultSchedule::rank_down): a WQE initiated by
-  // a dead node, or towards one, exhausts the RC retry storm and surfaces a
-  // transport error -- the remote endpoint no longer acks anything.  The QP
-  // enters the error state so queued WQEs flush; nothing against a dead
-  // node ever succeeds again.
+  // a dead node, or towards one, exhausts the RC retry storm -- the remote
+  // endpoint no longer acks anything, so nothing against a dead node ever
+  // succeeds again.
   if (sim::FaultSchedule* faults = fabric.faults();
       faults != nullptr && faults->any_rank_down() &&
       (faults->node_dead(node().name()) ||
        (peer_ != nullptr && faults->node_dead(peer_->node().name())))) {
-    fabric.tracer().record(sim.now(), tag, "fault_kill",
-                           static_cast<std::int64_t>(n), wr.wr_id);
-    co_await sim.delay(cfg.retry_count * cfg.retry_delay);
-    enter_error();
-    complete(*send_cq_,
-             Wc{wr.wr_id, WcStatus::kTransportError, wr.opcode, 0, qp_num_,
-                false},
-             sim.now() + 2 * cfg.wire_latency);
+    co_await kill_wqe(wr, tag);
     co_return;
   }
 
@@ -376,21 +380,9 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
                                static_cast<std::int64_t>(n), wr.wr_id);
         corrupt_payload = true;
       } else {
-        // Deterministic kill: model the full RC retry storm before the HCA
-        // gives up, then report the transport error a NAK round trip later.
-        // A fatal fault also moves the QP to the error state, as real retry
-        // exhaustion does (the random-injection path below deliberately
-        // does not -- see Inject.ExhaustedRetriesSurfaceAsTransportErrors).
-        // A kExhaust or kCorrupt fault landing here (atomics) degrades to a
-        // non-fatal kill.
-        fabric.tracer().record(sim.now(), tag, "fault_kill",
-                               static_cast<std::int64_t>(n), wr.wr_id);
-        co_await sim.delay(cfg.retry_count * cfg.retry_delay);
-        if (f->kind == Kind::kKill && f->fatal) enter_error();
-        complete(*send_cq_,
-                 Wc{wr.wr_id, WcStatus::kTransportError, wr.opcode, 0,
-                    qp_num_, false},
-                 sim.now() + 2 * cfg.wire_latency);
+        // Deterministic kill (a kExhaust, or a kCorrupt landing on an
+        // atomic, kills too).
+        co_await kill_wqe(wr, tag);
         co_return;
       }
     }
@@ -400,48 +392,22 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
     }
   }
 
-  if (deg.drop_prob > 0.0) {
-    // Gray loss: each attempt drops with drop_prob and the RC service
-    // retransmits transparently; only retry-count exhaustion surfaces, and
-    // non-fatally -- the link is degraded, not dead, so the QP stays up.
-    bool exhausted = false;
+  // Lossy attempts -- gray loss (drop_prob), then random attempt failures
+  // (inject_error_rate): the RC service retransmits each transparently, and
+  // only retry-count exhaustion surfaces, as the same QP error as a kill.
+  // An index loop, not a range-for over a braced list: the list would grow
+  // this per-WQE frame into the next FramePool size class.
+  for (int source = 0; source < 2; ++source) {
+    const double loss = source == 0 ? deg.drop_prob : cfg.inject_error_rate;
+    if (loss <= 0.0) continue;
     int attempts = 0;
-    while (fabric.rng().chance(deg.drop_prob)) {
+    while (fabric.rng().chance(loss)) {
       if (++attempts > cfg.retry_count) {
-        exhausted = true;
-        break;
+        fail_wqe(wr);
+        co_return;
       }
       fabric.tracer().record(sim.now(), tag, "retransmit", 0, wr.wr_id);
       co_await sim.delay(cfg.retry_delay);
-    }
-    if (exhausted) {
-      complete(*send_cq_,
-               Wc{wr.wr_id, WcStatus::kTransportError, wr.opcode, 0,
-                  qp_num_, false},
-               sim.now() + 2 * cfg.wire_latency);
-      co_return;
-    }
-  }
-
-  if (cfg.inject_error_rate > 0.0) {
-    // The RC service retransmits failed attempts transparently; only a
-    // retry-count exhaustion surfaces as a completion error.
-    bool exhausted = false;
-    int attempts = 0;
-    while (fabric.rng().chance(cfg.inject_error_rate)) {
-      if (++attempts > cfg.retry_count) {
-        exhausted = true;
-        break;
-      }
-      fabric.tracer().record(sim.now(), tag, "retransmit", 0, wr.wr_id);
-      co_await sim.delay(cfg.retry_delay);
-    }
-    if (exhausted) {
-      complete(*send_cq_,
-               Wc{wr.wr_id, WcStatus::kTransportError, wr.opcode, 0,
-                  qp_num_, false},
-               sim.now() + 2 * cfg.wire_latency);
-      co_return;
     }
   }
 

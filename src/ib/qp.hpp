@@ -36,16 +36,19 @@
 // delivery in flight, no outstanding read) so a recovery layer can replay
 // state onto a fresh QP without stale DMA overtaking it; reset() returns a
 // drained error-state QP to service (the modify_qp ERR->RESET->...->RTS
-// path).  A deterministic sim::FaultSchedule attached to the fabric can
-// kill specific WQEs: the victim completes with kTransportError after the
-// full modelled retry storm and (for fatal faults) the QP enters the error
-// state, exactly like real RC retry exhaustion.
+// path).  Retry exhaustion has one outcome whatever exhausted it -- a dead
+// rail, a dead rank, a scheduled sim::FaultSchedule kill, gray loss or
+// inject_error_rate: the QP enters the error state and the victim completes
+// with kTransportError a NAK round trip later, so nothing posted behind it
+// lands (RC's in-order guarantee, on which every ring flag, tail write and
+// FIN relies).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ib/cq.hpp"
@@ -169,6 +172,13 @@ class QueuePair {
   bool validate_local(const std::vector<Sge>& sgl, std::uint32_t need_access,
                       std::uint64_t wr_id, Opcode op);
   void enter_error();
+  /// RC retry exhaustion of `wr`: the QP enters the error state (every WQE
+  /// behind it flushes) and `wr` completes with kTransportError one NAK
+  /// round trip (2 * wire_latency) later.
+  void fail_wqe(const SendWr& wr);
+  /// A WQE the fabric kills outright: traces "fault_kill", sits out the
+  /// full retry_count * retry_delay storm, then fail_wqe.
+  sim::Task<void> kill_wqe(const SendWr& wr, const std::string& tag);
   void deliver_send(InboundSend inbound);
 
   Hca* hca_;

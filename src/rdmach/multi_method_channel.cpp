@@ -67,8 +67,10 @@ sim::Task<void> MultiMethodChannel::init() {
 }
 
 sim::Task<void> MultiMethodChannel::finalize() {
-  co_await shm_->finalize();
+  // Verbs first: its recovery-aware drain must replay a rank's last lost
+  // write before the shm barrier parks that rank for good.
   co_await net_->finalize();
+  co_await shm_->finalize();
 }
 
 Connection& MultiMethodChannel::connection(int peer) {

@@ -63,11 +63,6 @@ std::size_t ProtocolSelector::write_read_crossover() const {
   return std::size_t{1} << 40;  // write wins everywhere measured
 }
 
-double ProtocolSelector::ewma_mbps(Proto p, std::size_t len) const {
-  const Bucket& b = buckets_[static_cast<std::size_t>(bucket(len))];
-  return p == Proto::kWrite ? b.write.mbps : b.read.mbps;
-}
-
 void ProtocolSelector::record_rail(int rail, std::uint64_t bytes,
                                    double elapsed_usec) {
   if (rail < 0 || elapsed_usec <= 0.0) return;

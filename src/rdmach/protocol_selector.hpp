@@ -53,7 +53,6 @@ class ProtocolSelector {
   /// crossover surfaced in ChannelStats.
   std::size_t write_read_crossover() const;
 
-  double ewma_mbps(Proto p, std::size_t len) const;
   /// Best EWMA goodput of `p` across all size buckets (0 when unsampled);
   /// the representative per-protocol figure surfaced in ChannelStats.
   double peak_mbps(Proto p) const;

@@ -45,37 +45,37 @@ class FaultCampaign {
   /// workload reported the phase -- delta 0 is the very next operation.
   class Rule {
    public:
-    /// Kill rank's `delta`-th next WQE (fatal: the QP errors and flushes).
-    Rule& kill(int rank, std::uint64_t delta = 0, bool fatal = true) {
-      actions_.push_back({Action::kKill, rank, delta, 1, 0, fatal});
+    /// Kill rank's `delta`-th next WQE (the QP errors and flushes).
+    Rule& kill(int rank, std::uint64_t delta = 0) {
+      actions_.push_back({Action::kKill, rank, delta, 1, 0});
       return *this;
     }
     /// Corrupt the payload of rank's `delta`-th next WQE (delivered as a
     /// success; only an end-to-end integrity check can catch it).
     Rule& corrupt(int rank, std::uint64_t delta = 0) {
-      actions_.push_back({Action::kCorrupt, rank, delta, 1, 0, false});
+      actions_.push_back({Action::kCorrupt, rank, delta, 1, 0});
       return *this;
     }
     /// Deny rank's next `n` memory registrations starting `delta` from now.
     Rule& exhaust_reg(int rank, std::uint64_t n = 1, std::uint64_t delta = 0) {
-      actions_.push_back({Action::kExhaustReg, rank, delta, n, 0, false});
+      actions_.push_back({Action::kExhaustReg, rank, delta, n, 0});
       return *this;
     }
     /// Drop rank's next `n` CQE deliveries into the overrun buffer.
     Rule& exhaust_cq(int rank, std::uint64_t n = 1, std::uint64_t delta = 0) {
-      actions_.push_back({Action::kExhaustCq, rank, delta, n, 0, false});
+      actions_.push_back({Action::kExhaustCq, rank, delta, n, 0});
       return *this;
     }
     /// Withhold rank's next `n` ring-credit grants.
     Rule& exhaust_credit(int rank, std::uint64_t n = 1,
                          std::uint64_t delta = 0) {
-      actions_.push_back({Action::kExhaustCredit, rank, delta, n, 0, false});
+      actions_.push_back({Action::kExhaustCredit, rank, delta, n, 0});
       return *this;
     }
     /// Take rank's rail `rail` down at its next WQE (sticky: a dead port
     /// never comes back; surviving rails absorb the traffic).
     Rule& rail_down(int rank, int rail) {
-      actions_.push_back({Action::kRailDown, rank, 0, 1, rail, true});
+      actions_.push_back({Action::kRailDown, rank, 0, 1, rail});
       return *this;
     }
     /// Gray-degrade rank's next `n_ops` WQEs (node scope) with `spec`,
@@ -83,7 +83,7 @@ class FaultCampaign {
     /// window.
     Rule& degrade(int rank, FaultSchedule::DegradeSpec spec,
                   std::uint64_t n_ops, std::uint64_t delta = 0) {
-      Action a{Action::kDegrade, rank, delta, n_ops, 0, false};
+      Action a{Action::kDegrade, rank, delta, n_ops, 0};
       a.spec = spec;
       actions_.push_back(a);
       return *this;
@@ -92,7 +92,7 @@ class FaultCampaign {
     /// `rail` -- the per-rail failure domain, so only that rail slows down.
     Rule& degrade_rail(int rank, int rail, FaultSchedule::DegradeSpec spec,
                        std::uint64_t n_ops, std::uint64_t delta = 0) {
-      Action a{Action::kDegrade, rank, delta, n_ops, rail, false};
+      Action a{Action::kDegrade, rank, delta, n_ops, rail};
       a.spec = spec;
       a.rail_scoped = true;
       actions_.push_back(a);
@@ -103,7 +103,7 @@ class FaultCampaign {
     Rule& flaky_rail(int rank, int rail, FaultSchedule::DegradeSpec spec,
                      std::uint64_t period, std::uint64_t duty,
                      std::uint64_t n_ops, std::uint64_t delta = 0) {
-      Action a{Action::kFlaky, rank, delta, n_ops, rail, false};
+      Action a{Action::kFlaky, rank, delta, n_ops, rail};
       a.spec = spec;
       a.rail_scoped = true;
       a.period = period;
@@ -157,7 +157,6 @@ class FaultCampaign {
       std::uint64_t delta;
       std::uint64_t n;
       int rail;
-      bool fatal;
       FaultSchedule::DegradeSpec spec{};
       bool rail_scoped = false;
       std::uint64_t period = 0;
@@ -217,7 +216,7 @@ class FaultCampaign {
         a.delta + (r.jitter_ > 0 ? rng_.below(r.jitter_ + 1) : 0);
     switch (a.kind) {
       case Rule::Action::kKill:
-        schedule_.kill(scope, schedule_.observed(scope) + delta, a.fatal);
+        schedule_.kill(scope, schedule_.observed(scope) + delta);
         ++armed_;
         break;
       case Rule::Action::kCorrupt:

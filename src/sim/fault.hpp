@@ -14,24 +14,25 @@
 // every run.
 //
 // Four fault kinds:
-//   * kKill    -- the operation dies (transport error; optionally fatal to
-//                 the QP, modelling RC retry exhaustion).
+//   * kKill    -- the operation dies: RC retry exhaustion, so the victim
+//                 completes with a transport error AND its QP enters the
+//                 error state (everything posted behind it flushes).
 //   * kCorrupt -- the operation SUCCEEDS but its payload is bit-flipped in
 //                 flight, modelling an undetected link/DMA error.  Only
-//                 meaningful at data-moving sites; elsewhere it degrades to
-//                 a non-fatal kill.
+//                 meaningful at data-moving sites; on an atomic it kills.
 //   * kExhaust -- the operation is refused by a temporarily exhausted
 //                 resource (registration failure, CQ overrun, no ring
-//                 credit).  Non-fatal by construction: the resource comes
-//                 back once the scheduled window passes.
+//                 credit); the resource comes back once the scheduled
+//                 window passes.  Scheduled on a WQE scope, it kills.
 //   * kDegrade -- gray failure: the operation still completes, but its link
 //                 service-time model is perturbed (extra latency, reduced
-//                 bandwidth, probabilistic retransmits).  Unlike the
-//                 fail-stop kinds, degrades HEAL: they apply to an op-index
-//                 window [from, until) and the scope returns to full health
-//                 afterwards.  Delivered through degrade_at(), not check(),
-//                 because a degrade is a property of a window of operations
-//                 rather than of one victim op.
+//                 bandwidth, probabilistic retransmits -- and loss that
+//                 exhausts the retry budget errors the QP like a kill).
+//                 Unlike the fail-stop kinds, degrades HEAL: they apply to
+//                 an op-index window [from, until) and the scope returns to
+//                 full health afterwards.  Delivered through degrade_at(),
+//                 not check(), because a degrade is a property of a window
+//                 of operations rather than of one victim op.
 #pragma once
 
 #include <cstdint>
@@ -48,13 +49,6 @@ class FaultSchedule {
   struct Fault {
     enum class Kind { kKill, kCorrupt, kExhaust, kDegrade };
     Kind kind = Kind::kKill;
-    /// kKill only.  A fatal fault models real RC retry exhaustion: the
-    /// victim completes with a transport error AND the QP transitions to
-    /// the error state (subsequent WQEs flush).  A non-fatal fault drops
-    /// only the victim -- useful for single-WQE tests, but note it breaks
-    /// the in-order delivery guarantee for anything posted behind the
-    /// victim.
-    bool fatal = true;
   };
 
   /// Gray-failure shape applied to operations inside a degrade window.  A
@@ -117,22 +111,21 @@ class FaultSchedule {
   bool any_rank_down() const noexcept { return !rank_down_at_.empty(); }
 
   /// Kills the `nth` (0-based) operation observed in `scope`.
-  void kill(const std::string& scope, std::uint64_t nth, bool fatal = true) {
-    scopes_[scope].plans[nth] = Fault{Fault::Kind::kKill, fatal};
+  void kill(const std::string& scope, std::uint64_t nth) {
+    scopes_[scope].plans[nth] = Fault{Fault::Kind::kKill};
   }
 
   /// Kills every operation in `scope` from index `from` onward (retry-budget
   /// exhaustion scenarios: nothing ever gets through again).
-  void kill_from(const std::string& scope, std::uint64_t from,
-                 bool fatal = true) {
-    scopes_[scope].all_from = std::make_pair(from, Fault{Fault::Kind::kKill, fatal});
+  void kill_from(const std::string& scope, std::uint64_t from) {
+    scopes_[scope].all_from = std::make_pair(from, Fault{Fault::Kind::kKill});
   }
 
   /// Corrupts the `nth` operation: it is delivered as a success with its
   /// payload bit-flipped (silent data corruption unless a checksum catches
   /// it).
   void corrupt(const std::string& scope, std::uint64_t nth) {
-    scopes_[scope].plans[nth] = Fault{Fault::Kind::kCorrupt, false};
+    scopes_[scope].plans[nth] = Fault{Fault::Kind::kCorrupt};
   }
 
   /// Denies operations [from, from + n) with a temporary resource-exhaustion
@@ -141,7 +134,7 @@ class FaultSchedule {
                std::uint64_t n = 1) {
     Scope& s = scopes_[scope];
     for (std::uint64_t i = 0; i < n; ++i) {
-      s.plans[from + i] = Fault{Fault::Kind::kExhaust, false};
+      s.plans[from + i] = Fault{Fault::Kind::kExhaust};
     }
   }
 

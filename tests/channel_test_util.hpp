@@ -57,14 +57,14 @@ struct FaultPlan {
   }
 
   /// Kills the `nth` (0-based) WQE that rank's HCA processes.
-  FaultPlan& kill(int rank, std::uint64_t nth, bool fatal = true) {
-    schedule.kill(scope_of(rank), nth, fatal);
+  FaultPlan& kill(int rank, std::uint64_t nth) {
+    schedule.kill(scope_of(rank), nth);
     return *this;
   }
 
   /// Kills every WQE from the `from`th onward (budget-exhaustion tests).
-  FaultPlan& kill_from(int rank, std::uint64_t from, bool fatal = true) {
-    schedule.kill_from(scope_of(rank), from, fatal);
+  FaultPlan& kill_from(int rank, std::uint64_t from) {
+    schedule.kill_from(scope_of(rank), from);
     return *this;
   }
 

@@ -65,17 +65,21 @@ TEST(FaultSchedule, CountsOperationsAndDeliversScheduledKills) {
   EXPECT_EQ(s.killed(), 3u);
 }
 
-TEST(FaultSchedule, ScopesAreIndependentAndFatalityIsCarried) {
+TEST(FaultSchedule, ScopesAreIndependentAndKillKindIsCarried) {
+  using Kind = sim::FaultSchedule::Fault::Kind;
   sim::FaultSchedule s;
-  s.kill("a", 0, /*fatal=*/false);
-  s.kill("b", 0, /*fatal=*/true);
+  s.kill("a", 0);
+  s.kill("b", 1);
   const auto fa = s.check("a");
   ASSERT_TRUE(fa.has_value());
-  EXPECT_FALSE(fa->fatal);
-  const auto fb = s.check("b");
+  EXPECT_EQ(fa->kind, Kind::kKill);
+  EXPECT_FALSE(s.check("b").has_value());  // b's own counter: op 0
+  const auto fb = s.check("b");            // b op 1: its kill
   ASSERT_TRUE(fb.has_value());
-  EXPECT_TRUE(fb->fatal);
+  EXPECT_EQ(fb->kind, Kind::kKill);
   EXPECT_FALSE(s.check("a").has_value());
+  EXPECT_EQ(s.observed("a"), 2u);
+  EXPECT_EQ(s.observed("b"), 2u);
   EXPECT_EQ(s.killed(), 2u);
 }
 
@@ -88,7 +92,6 @@ TEST(FaultSchedule, CorruptAndExhaustCarryTheirKindAndAreNonFatal) {
   const auto fc = s.check("x");            // 1: the corruption
   ASSERT_TRUE(fc.has_value());
   EXPECT_EQ(fc->kind, Kind::kCorrupt);
-  EXPECT_FALSE(fc->fatal);  // delivered as success, not a QP error
   EXPECT_FALSE(s.check("x").has_value());  // 2
   // Resource sub-scopes count independently of the WQE scope.
   EXPECT_FALSE(s.check("x.reg").has_value());  // 0
@@ -98,7 +101,6 @@ TEST(FaultSchedule, CorruptAndExhaustCarryTheirKindAndAreNonFatal) {
     const auto fe = s.check("x.reg");  // 3, 4: the denial window
     ASSERT_TRUE(fe.has_value());
     EXPECT_EQ(fe->kind, Kind::kExhaust);
-    EXPECT_FALSE(fe->fatal);
   }
   EXPECT_FALSE(s.check("x.reg").has_value());  // 5: window closed
   EXPECT_EQ(s.observed("x"), 3u);
@@ -139,7 +141,7 @@ struct Pair {
 TEST(FlushSemantics, ErrorQpFlushesSubsequentWqesInPostOrder) {
   Pair p;
   sim::FaultSchedule faults;
-  faults.kill("a", 0);  // first WQE dies fatally -> QP enters error state
+  faults.kill("a", 0);  // first WQE dies -> QP enters error state
   p.fabric.attach_faults(&faults);
   alignas(8) static std::byte buf[64];
   p.sim.spawn(
@@ -510,6 +512,76 @@ TEST(AdaptiveFault, MixedRendezvousDifferentialAcrossFaults) {
   EXPECT_TRUE(rr.send_done);
   ASSERT_TRUE(rr.recv_done);
   EXPECT_EQ(rr.received, oracle.received);
+}
+
+// ---------------------------------------------------------------------------
+// RC error model: one failure path for every exhausted WQE
+// ---------------------------------------------------------------------------
+
+TEST(RcErrorModel, LossExhaustionKeepsStreamExact) {
+  // Census over every RDMA design, both ranks and every WQE index of a
+  // clean run: an op-wide window of total gray loss exhausts exactly that
+  // WQE's retry budget.  Exhaustion must error the QP like a kill, or the
+  // WQE behind the victim -- a ring flag, a head-pointer write, a FIN --
+  // lands and publishes bytes that never arrived.  A point passes when it
+  // delivers the oracle's stream or raises a clean ChannelError; wrong
+  // bytes and hangs never pass.
+  const Traffic traffic = Traffic::make(/*seed=*/7, /*messages=*/10,
+                                        /*min_len=*/1, /*max_len=*/300000);
+  const RunResult oracle =
+      run_stream(rdmach::Design::kShm, traffic, /*plan=*/nullptr);
+  ASSERT_TRUE(oracle.recv_done);
+  ASSERT_EQ(oracle.received, traffic.bytes);
+  sim::FaultSchedule::DegradeSpec lossy;
+  lossy.drop_prob = 1.0;
+  for (const rdmach::Design design :
+       {rdmach::Design::kBasic, rdmach::Design::kPiggyback,
+        rdmach::Design::kPipeline, rdmach::Design::kZeroCopy,
+        rdmach::Design::kMultiMethod, rdmach::Design::kAdaptive}) {
+    FaultPlan clean;
+    const RunResult base = run_stream(design, traffic, &clean);
+    ASSERT_EQ(base.received, oracle.received) << rdmach::to_string(design);
+    std::uint64_t recovered = 0;
+    for (int rank = 0; rank < 2; ++rank) {
+      const std::uint64_t ops =
+          clean.schedule.observed(FaultPlan::scope_of(rank));
+      EXPECT_GT(ops, 0u);
+      for (std::uint64_t k = 0; k < ops; ++k) {
+        FaultPlan plan;
+        plan.degrade(rank, lossy, k, k + 1);
+        const RunResult rr = run_stream(design, traffic, &plan);
+        const bool wrong = rr.recv_done && rr.received != oracle.received;
+        const bool settled =
+            (rr.send_done && rr.recv_done) || rr.send_error || rr.recv_error;
+        EXPECT_TRUE(settled && !wrong)
+            << rdmach::to_string(design) << " rank " << rank << " op " << k
+            << (wrong ? ": wrong bytes" : ": hang");
+        recovered += rr.recoveries > 0 ? 1 : 0;
+      }
+    }
+    EXPECT_GT(recovered, 0u) << rdmach::to_string(design)
+                             << ": no exhaustion was ever recovered";
+  }
+}
+
+TEST(MultiMethodFault, LastWriteKilledBeforeFinalizeIsRedelivered) {
+  // One of the receiver's last WQEs -- those that carry its completion
+  // token -- dies just before both ranks finalize.  The verbs member's
+  // recovery-aware drain must run before the shm member's blocking barrier
+  // parks the rank, or the token is never replayed and the sender waits
+  // for it forever.
+  const Traffic traffic = Traffic::make(/*seed=*/7, /*messages=*/10,
+                                        /*min_len=*/1, /*max_len=*/300000);
+  for (const std::uint64_t victim : {19u, 20u}) {
+    FaultPlan plan;
+    plan.kill(1, victim);
+    const RunResult rr =
+        run_stream(rdmach::Design::kMultiMethod, traffic, &plan);
+    EXPECT_EQ(rr.kills, 1u) << "op " << victim;
+    EXPECT_TRUE(rr.send_done) << "op " << victim;
+    EXPECT_TRUE(rr.recv_done) << "op " << victim;
+    EXPECT_EQ(rr.received, traffic.bytes) << "op " << victim;
+  }
 }
 
 TEST(RecoveryBudget, ExhaustionSurfacesChannelErrorOnBothRanksWithoutHang) {

@@ -750,11 +750,16 @@ TEST(Inject, ExhaustedRetriesSurfaceAsTransportErrors) {
           const Wc wc = co_await pr.cqa->next();
           if (wc.status == WcStatus::kTransportError) {
             ++err;
+            // Retry exhaustion is an RC error like any other: the QP is
+            // down until a drained reset returns it to service.
+            EXPECT_TRUE(pr.qpa->in_error());
+            co_await pr.qpa->quiesce();
+            pr.qpa->reset();
           } else {
             EXPECT_EQ(wc.status, WcStatus::kSuccess);
             ++ok;
           }
-          EXPECT_FALSE(pr.qpa->in_error());  // injected errors don't kill QP
+          EXPECT_FALSE(pr.qpa->in_error());
         }
       }(p, errors, successes),
       "inject");

@@ -407,7 +407,7 @@ TEST(Rma, WindowCreatePublishesOneKeyPerRank) {
 // ---------------------------------------------------------------------------
 
 TEST(RmaFault, FlushSpansQpKillAndReplays) {
-  // A transient fatal kill lands mid-burst on the origin's window QP.  The
+  // A transient kill lands mid-burst on the origin's window QP.  The
   // flush must observe the error CQEs, reset the QP, replay the journal,
   // and complete -- the target's memory ends up exactly as if no fault had
   // happened (puts are idempotent; the killed WQE never reached the
@@ -463,14 +463,15 @@ TEST(RmaFault, FlushSpansQpKillAndReplays) {
 }
 
 TEST(RmaFault, AccumulateFailureReleasesRemoteLock) {
-  // Rank 1's RMW read dies (non-fatal kill, zero retry budget) after its
-  // CAS took rank 0's accumulate lock: the accumulate raises
-  // ChannelError, but the failure path must still release the remote
-  // lock word -- otherwise rank 2, accumulating to the same live target,
-  // spins on the leaked lock until its watchdog and raises a false kDead.
+  // Rank 1's RMW read dies after its CAS took rank 0's accumulate lock, and
+  // so does the read's one replay (a retry budget of 1): the accumulate
+  // raises ChannelError, but the failure path must still release the
+  // remote lock word on a fresh budget -- otherwise rank 2, accumulating
+  // to the same live target, spins on the leaked lock until its watchdog
+  // and raises a false kDead.
   constexpr int kP = 3;
   mpi::RuntimeConfig cfg;
-  cfg.stack.channel.recovery_max_attempts = 0;
+  cfg.stack.channel.recovery_max_attempts = 1;
   FaultPlan plan;
   sim::Simulator sim;
   ib::Fabric fabric{sim};
@@ -490,11 +491,12 @@ TEST(RmaFault, AccumulateFailureReleasesRemoteLock) {
     const std::int64_t contrib = 5;
     if (world.rank() == 1) {
       // Next window WQEs this node initiates: the CAS (lock acquire),
-      // then the RMW read -- kill the read, non-fatally (the QP
-      // survives, the zero budget does not).
+      // then the RMW read, then -- after one recovery -- the read's replay.
+      // Kill both reads; the flushed WQEs behind them count no operation.
       const std::string scope = FaultPlan::scope_of(1);
-      plan.schedule.kill(scope, plan.schedule.observed(scope) + 1,
-                         /*fatal=*/false);
+      const std::uint64_t cas = plan.schedule.observed(scope);
+      plan.schedule.kill(scope, cas + 1);
+      plan.schedule.kill(scope, cas + 2);
       try {
         co_await win->accumulate(&contrib, 1, mpi::Datatype::kLong,
                                  mpi::Op::kSum, 0, 0);
@@ -518,6 +520,7 @@ TEST(RmaFault, AccumulateFailureReleasesRemoteLock) {
   });
   sim.run_until(kDeadline);
   EXPECT_TRUE(failed) << "the injected kill never surfaced";
+  EXPECT_EQ(plan.schedule.killed(), 2u) << "the read and its replay die";
   EXPECT_TRUE(second_ok) << "healthy origin hung on a leaked lock";
   EXPECT_EQ(final_value, 5) << "the healthy accumulate was lost";
 }

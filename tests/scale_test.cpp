@@ -497,12 +497,12 @@ void run_evict_kill_scenario(FaultPlan& plan) {
 }
 
 TEST(ConnectionCache, KillsOnInitiatorDuringEvictHandshakeRecover) {
-  // Non-fatal kills on the evicting side (rank 0), clustered over the WQE
-  // window where the third visit forces the LRU eviction of peer 1 and the
-  // fourth re-connects: the handshake's replay traffic keeps dying under
-  // it, and recovery must carry it through anyway.
+  // Kills on the evicting side (rank 0), clustered over the WQE window
+  // where the third visit forces the LRU eviction of peer 1 and the fourth
+  // re-connects: the handshake's replay traffic keeps dying under it, and
+  // recovery must carry it through anyway.
   FaultPlan plan;
-  for (std::uint64_t n = 5; n <= 9; ++n) plan.kill(0, n, /*fatal=*/false);
+  for (std::uint64_t n = 5; n <= 9; ++n) plan.kill(0, n);
   run_evict_kill_scenario(plan);
 }
 
@@ -511,7 +511,7 @@ TEST(ConnectionCache, KillsOnEvictedTargetDuringEvictHandshakeRecover) {
   // tail-drain acknowledgement of the handshake through its half of the
   // post-eviction reconnect exchange.
   FaultPlan plan;
-  for (std::uint64_t n = 2; n <= 6; ++n) plan.kill(1, n, /*fatal=*/false);
+  for (std::uint64_t n = 2; n <= 6; ++n) plan.kill(1, n);
   run_evict_kill_scenario(plan);
 }
 
@@ -746,10 +746,10 @@ TEST_P(ScaleDesignTest, SingleKillsDuringEvictReconnectTrafficRecover) {
   // every byte exact with no hang.
   constexpr std::size_t kLen = 6'000;
   FaultPlan plan;
-  plan.kill(0, 4, /*fatal=*/false);
-  plan.kill(1, 3, /*fatal=*/false);
-  plan.kill(0, 11, /*fatal=*/false);
-  plan.kill(2, 5, /*fatal=*/false);
+  plan.kill(0, 4);
+  plan.kill(1, 3);
+  plan.kill(0, 11);
+  plan.kill(2, 5);
   ChannelConfig cfg;
   cfg.design = GetParam();
   cfg.lazy_connect = true;
