@@ -69,14 +69,25 @@ QueuePair::QueuePair(Hca& hca, ProtectionDomain& pd, CompletionQueue& send_cq,
       send_cq_(&send_cq),
       recv_cq_(&recv_cq),
       qp_num_(qp_num),
-      sq_(std::make_unique<sim::Mailbox<SendWr>>(hca.fabric().sim())),
-      responder_q_(
-          std::make_unique<sim::Mailbox<ReadRequest>>(hca.fabric().sim())),
-      read_credit_(std::make_unique<sim::Trigger>(hca.fabric().sim())),
-      quiesce_(std::make_unique<sim::Trigger>(hca.fabric().sim())),
-      connected_(std::make_unique<sim::Trigger>(hca.fabric().sim())) {}
+      sq_(hca.fabric().sim()),
+      responder_q_(hca.fabric().sim()),
+      read_credit_(hca.fabric().sim()),
+      quiesce_(hca.fabric().sim()),
+      connected_(hca.fabric().sim()) {}
 
 Node& QueuePair::node() const { return hca_->node(); }
+
+std::string QueuePair::tag() const {
+  return node().name() + ".qp" + std::to_string(qp_num_);
+}
+
+void QueuePair::trace(std::string_view event, std::int64_t bytes,
+                      std::int64_t arg, std::string_view suffix) const {
+  const Fabric& fabric = hca_->fabric();
+  if (!fabric.tracer().enabled()) return;
+  fabric.tracer().record(fabric.sim().now(), tag().append(suffix), event,
+                         bytes, arg);
+}
 
 void QueuePair::connect(QueuePair& peer) {
   if (peer_ != nullptr || peer.peer_ != nullptr) {
@@ -85,44 +96,34 @@ void QueuePair::connect(QueuePair& peer) {
   if (&peer == this) throw VerbsError("connect: QP cannot connect to itself");
   peer_ = &peer;
   peer.peer_ = this;
-  sim::Simulator& sim = hca_->fabric().sim();
-  const std::string tag =
-      node().name() + ".qp" + std::to_string(qp_num_);
-  const std::string peer_tag =
-      peer.node().name() + ".qp" + std::to_string(peer.qp_num_);
-  sim.spawn_daemon(send_engine(), tag + ".send");
-  sim.spawn_daemon(responder_engine(), tag + ".responder");
-  sim.spawn_daemon(peer.send_engine(), peer_tag + ".send");
-  sim.spawn_daemon(peer.responder_engine(), peer_tag + ".responder");
-  connected_->fire();
-  peer.connected_->fire();
+  connected_.fire();
+  peer.connected_.fire();
 }
 
 sim::Task<void> QueuePair::wait_connected() {
-  co_await sim::wait_until(*connected_, [this] { return peer_ != nullptr; });
+  co_await sim::wait_until(connected_, [this] { return peer_ != nullptr; });
 }
 
 sim::Task<bool> QueuePair::wait_connected_until(sim::Tick deadline) {
-  sim::Simulator& sim = connected_->simulator();
+  sim::Simulator& sim = connected_.simulator();
   // The trigger re-evaluates predicates only when fired; fire it at the
   // deadline so the time clause is observed.
-  sim::Trigger* t = connected_.get();
-  sim.call_at(deadline, [t] { t->fire(); });
-  co_await sim::wait_until(*connected_, [this, deadline, &sim] {
+  sim.call_at(deadline, [t = &connected_] { t->fire(); });
+  co_await sim::wait_until(connected_, [this, deadline, &sim] {
     return peer_ != nullptr || sim.now() >= deadline;
   });
   co_return peer_ != nullptr;
 }
 
 sim::Task<void> QueuePair::quiesce() {
-  co_await sim::wait_until(*quiesce_, [this] {
-    return !busy_ && sq_->empty() && inflight_deliveries_ == 0 &&
+  co_await sim::wait_until(quiesce_, [this] {
+    return !busy_ && sq_.empty() && inflight_deliveries_ == 0 &&
            reads_in_flight_ == 0;
   });
 }
 
 void QueuePair::reset() {
-  if (busy_ || !sq_->empty() || inflight_deliveries_ != 0 ||
+  if (busy_ || !sq_.empty() || inflight_deliveries_ != 0 ||
       reads_in_flight_ != 0) {
     throw VerbsError("reset: QP not quiesced");
   }
@@ -146,15 +147,27 @@ void QueuePair::post_send(SendWr wr) {
       ++hca_->atomics_posted;
       break;
   }
-  sq_->push(std::move(wr));
+  sq_.push(std::move(wr));
+  if (!send_started_) {
+    send_started_ = true;
+    hca_->fabric().sim().spawn_daemon(send_engine(), tag() + ".send");
+  }
+}
+
+void QueuePair::accept_request(ReadRequest req) {
+  responder_q_.push(std::move(req));
+  if (!responder_started_) {
+    responder_started_ = true;
+    hca_->fabric().sim().spawn_daemon(responder_engine(),
+                                      tag() + ".responder");
+  }
 }
 
 void QueuePair::post_recv(RecvWr wr) {
   if (!unclaimed_.empty()) {
     // A send arrived before this receive was posted (modelled as infinite
     // RNR retry); consume it now.
-    InboundSend inbound = std::move(unclaimed_.front());
-    unclaimed_.pop_front();
+    InboundSend inbound = unclaimed_.pop_front();
     if (inbound.data->size() > wr.total_length()) {
       complete_now(*recv_cq_, Wc{wr.wr_id, WcStatus::kLocalProtectionError,
                                  Opcode::kSend, 0, qp_num_, true});
@@ -260,20 +273,19 @@ void QueuePair::fail_wqe(const SendWr& wr) {
            fabric.sim().now() + 2 * fabric.cfg().wire_latency);
 }
 
-sim::Task<void> QueuePair::kill_wqe(const SendWr& wr, const std::string& tag) {
+sim::Task<void> QueuePair::kill_wqe(const SendWr& wr) {
   Fabric& fabric = hca_->fabric();
   const FabricConfig& cfg = fabric.cfg();
-  fabric.tracer().record(fabric.sim().now(), tag, "fault_kill",
-                         static_cast<std::int64_t>(wr.total_length()),
-                         wr.wr_id);
+  trace("fault_kill", static_cast<std::int64_t>(wr.total_length()),
+        wr.wr_id);
   co_await fabric.sim().delay(cfg.retry_count * cfg.retry_delay);
   fail_wqe(wr);
 }
 
 void QueuePair::read_done() {
   --reads_in_flight_;
-  read_credit_->fire();
-  quiesce_->fire();
+  read_credit_.fire();
+  quiesce_.fire();
 }
 
 void QueuePair::deliver_send(InboundSend inbound) {
@@ -282,8 +294,7 @@ void QueuePair::deliver_send(InboundSend inbound) {
     unclaimed_.push_back(std::move(inbound));
     return;
   }
-  RecvWr wr = std::move(rq_.front());
-  rq_.pop_front();
+  RecvWr wr = rq_.pop_front();
   if (n > wr.total_length()) {
     complete_now(*recv_cq_, Wc{wr.wr_id, WcStatus::kLocalProtectionError,
                                Opcode::kSend, 0, qp_num_, true});
@@ -297,11 +308,11 @@ void QueuePair::deliver_send(InboundSend inbound) {
 
 sim::Task<void> QueuePair::send_engine() {
   for (;;) {
-    SendWr wr = co_await sq_->pop();
+    SendWr wr = co_await sq_.pop();
     busy_ = true;
     co_await process_wqe(std::move(wr));
     busy_ = false;
-    quiesce_->fire();
+    quiesce_.fire();
   }
 }
 
@@ -309,7 +320,6 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
   Fabric& fabric = hca_->fabric();
   sim::Simulator& sim = fabric.sim();
   const FabricConfig& cfg = fabric.cfg();
-  const std::string tag = node().name() + ".qp" + std::to_string(qp_num_);
   const std::size_t n = wr.total_length();
 
   if (error_) {
@@ -338,8 +348,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
           sim::FaultSchedule::rail_scope(node().name(), port_->rail());
       if (faults->check(rs)) {
         port_->fail();
-        fabric.tracer().record(sim.now(), tag, "rail_down", port_->rail(),
-                               wr.wr_id);
+        trace("rail_down", port_->rail(), wr.wr_id);
       }
       if (faults->any_degrade()) {
         // The check() above counted this WQE; the degrade window is keyed
@@ -349,7 +358,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
     }
   }
   if (!port_->up()) {
-    co_await kill_wqe(wr, tag);
+    co_await kill_wqe(wr);
     co_return;
   }
 
@@ -361,7 +370,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
       faults != nullptr && faults->any_rank_down() &&
       (faults->node_dead(node().name()) ||
        (peer_ != nullptr && faults->node_dead(peer_->node().name())))) {
-    co_await kill_wqe(wr, tag);
+    co_await kill_wqe(wr);
     co_return;
   }
 
@@ -376,13 +385,12 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
         // but one payload bit flips in flight (an undetected link/DMA
         // error -- beyond what the RC CRC catches).  For a read, the flip
         // happens in the responder's reply.
-        fabric.tracer().record(sim.now(), tag, "fault_corrupt",
-                               static_cast<std::int64_t>(n), wr.wr_id);
+        trace("fault_corrupt", static_cast<std::int64_t>(n), wr.wr_id);
         corrupt_payload = true;
       } else {
         // Deterministic kill (a kExhaust, or a kCorrupt landing on an
         // atomic, kills too).
-        co_await kill_wqe(wr, tag);
+        co_await kill_wqe(wr);
         co_return;
       }
     }
@@ -406,7 +414,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
         fail_wqe(wr);
         co_return;
       }
-      fabric.tracer().record(sim.now(), tag, "retransmit", 0, wr.wr_id);
+      trace("retransmit", 0, wr.wr_id);
       co_await sim.delay(cfg.retry_delay);
     }
   }
@@ -432,8 +440,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
         enter_error();
         break;
       }
-      fabric.tracer().record(sim.now(), tag, "rdma_write",
-                             static_cast<std::int64_t>(n), wr.wr_id);
+      trace("rdma_write", static_cast<std::int64_t>(n), wr.wr_id);
       auto staging = gather(sim.buffer_pool(), wr.sgl);
       if (corrupt_payload && !staging->empty()) {
         (*staging)[staging->size() / 2] ^= std::byte{1};
@@ -455,7 +462,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
         }
         dst_node->dma_arrival().fire();
         --inflight_deliveries_;
-        quiesce_->fire();
+        quiesce_.fire();
       });
       if (wr.signaled) {
         complete_write(Wc{wr.wr_id, WcStatus::kSuccess, wr.opcode, n,
@@ -466,8 +473,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
     }
 
     case Opcode::kSend: {
-      fabric.tracer().record(sim.now(), tag, "send",
-                             static_cast<std::int64_t>(n), wr.wr_id);
+      trace("send", static_cast<std::int64_t>(n), wr.wr_id);
       auto staging = gather(sim.buffer_pool(), wr.sgl);
       if (corrupt_payload && !staging->empty()) {
         (*staging)[staging->size() / 2] ^= std::byte{1};
@@ -480,7 +486,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
         peer->deliver_send(InboundSend{std::move(staging)});
         peer->node().dma_arrival().fire();
         --inflight_deliveries_;
-        quiesce_->fire();
+        quiesce_.fire();
       });
       if (wr.signaled) {
         complete(*send_cq_,
@@ -508,12 +514,11 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
         enter_error();
         break;
       }
-      fabric.tracer().record(sim.now(), tag,
-                             is_atomic ? "atomic" : "rdma_read",
-                             static_cast<std::int64_t>(n), wr.wr_id);
+      trace(is_atomic ? "atomic" : "rdma_read", static_cast<std::int64_t>(n),
+            wr.wr_id);
       // Atomics share the outstanding-read context limit (Figure 15's
       // cause for reads; the same HCA resource serves both).
-      co_await sim::wait_until(*read_credit_, [this, &cfg] {
+      co_await sim::wait_until(read_credit_, [this, &cfg] {
         return reads_in_flight_ < cfg.max_outstanding_reads;
       });
       if (error_) {
@@ -540,7 +545,7 @@ sim::Task<void> QueuePair::process_wqe(SendWr wr) {
                       wr.atomic_swap, corrupt_payload};
       req.deg = deg;
       sim.call_at(req_arrives, [peer, req = std::move(req)]() mutable {
-        peer->responder_q_->push(std::move(req));
+        peer->accept_request(std::move(req));
       });
       break;
     }
@@ -554,11 +559,9 @@ sim::Task<void> QueuePair::responder_engine() {
   Fabric& fabric = hca_->fabric();
   sim::Simulator& sim = fabric.sim();
   const FabricConfig& cfg = fabric.cfg();
-  const std::string tag =
-      node().name() + ".qp" + std::to_string(qp_num_) + ".resp";
 
   for (;;) {
-    ReadRequest req = co_await responder_q_->pop();
+    ReadRequest req = co_await responder_q_.pop();
     co_await sim.delay(cfg.read_responder_overhead);
 
     std::size_t n = 0;
@@ -586,9 +589,8 @@ sim::Task<void> QueuePair::responder_engine() {
       continue;
     }
 
-    fabric.tracer().record(sim.now(), tag,
-                           is_atomic ? "atomic_response" : "read_response",
-                           static_cast<std::int64_t>(n), req.wr_id);
+    trace(is_atomic ? "atomic_response" : "read_response",
+          static_cast<std::int64_t>(n), req.wr_id, ".resp");
     std::uint64_t old = 0;
     if (is_atomic) {
       // Execute the atomic at the responder: read-modify-write is a single
@@ -611,8 +613,8 @@ sim::Task<void> QueuePair::responder_engine() {
               req.dest_sgl);
       if (req.corrupt && n > 0) {
         flip_byte(req.dest_sgl, n / 2);
-        fabric.tracer().record(sim.now(), tag, "fault_corrupt",
-                               static_cast<std::int64_t>(n), req.wr_id);
+        trace("fault_corrupt", static_cast<std::int64_t>(n), req.wr_id,
+              ".resp");
       }
     }
     const sim::Tick delivered = co_await fabric.book_path(

@@ -8,20 +8,26 @@
 // validation against the target's protection domain, and channel-semantics
 // send/receive.
 //
-// Engine structure (all virtual-time, spawned when connect() is called):
-//   * send_engine      -- drains the send queue in order; per WQE charges
-//                         wqe_overhead, validates, snapshots the source of
-//                         a write or send (HW reads at DMA time; we read at
-//                         post for determinism), then books the data path
+// Engine structure (all virtual-time; each engine is spawned on its first
+// work item, so a connected QP that never carries a WQE costs one heap
+// block and no event -- the spawn's start event takes the queue slot the
+// wake-up of an already-parked engine would take, so event order is the
+// same as if the engines had been waiting since connect()):
+//   * send_engine      -- started by the first post_send; drains the send
+//                         queue in order; per WQE charges wqe_overhead,
+//                         validates, snapshots the source of a write or
+//                         send (HW reads at DMA time; we read at post for
+//                         determinism), then books the data path
 //                         src-bus -> tx-link -> wire -> rx-link -> dst-bus
 //                         chunk by chunk.  The engine moves to the next WQE
 //                         as soon as the source-side stages are booked, so
 //                         consecutive WQEs pipeline on the wire exactly as
 //                         the paper's pipelining optimization requires.
-//   * responder_engine -- serves incoming RDMA-read requests (turnaround
-//                         overhead, then streams data back through this
-//                         side's tx link, contending with its own sends --
-//                         the cause of the read-vs-write gap in Fig. 15).
+//   * responder_engine -- started by the first RDMA-read or atomic request
+//                         to arrive; serves them (turnaround overhead, then
+//                         streams data back through this side's tx link,
+//                         contending with its own sends -- the cause of
+//                         the read-vs-write gap in Fig. 15).
 //                         A read response is not staged: at turnaround the
 //                         responder's bytes are placed straight into the
 //                         initiator's destination, and only the CQE waits
@@ -45,10 +51,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ib/cq.hpp"
@@ -74,7 +78,8 @@ class QueuePair {
   QueuePair& operator=(const QueuePair&) = delete;
 
   /// Establishes the reliable connection between this QP and `peer`
-  /// (both directions) and starts the processing engines.  Call once.
+  /// (both directions).  Spawns nothing: each engine starts on its first
+  /// work item.  Call once.
   void connect(QueuePair& peer);
 
   /// Blocks until connect() has been called (on either side).  Recovery
@@ -121,7 +126,7 @@ class QueuePair {
   CompletionQueue& send_cq() const noexcept { return *send_cq_; }
   CompletionQueue& recv_cq() const noexcept { return *recv_cq_; }
   QueuePair* peer() const noexcept { return peer_; }
-  std::size_t send_queue_depth() const noexcept { return sq_->size(); }
+  std::size_t send_queue_depth() const noexcept { return sq_.size(); }
 
  private:
   friend class Fabric;
@@ -155,6 +160,16 @@ class QueuePair {
   /// engine can maintain the busy_ flag across every early exit).
   sim::Task<void> process_wqe(SendWr wr);
   sim::Task<void> responder_engine();
+  /// Queues responder work from the peer, starting the responder engine on
+  /// the first request.
+  void accept_request(ReadRequest req);
+
+  /// "<node>.qp<N>": names this QP's engines and trace records.
+  std::string tag() const;
+  /// Records `event` under tag() + `suffix`; builds the tag only when a
+  /// tracer is attached.
+  void trace(std::string_view event, std::int64_t bytes, std::int64_t arg,
+             std::string_view suffix = {}) const;
 
   void complete(CompletionQueue& cq, const Wc& wc, sim::Tick at);
   void complete_now(CompletionQueue& cq, const Wc& wc);
@@ -178,7 +193,7 @@ class QueuePair {
   void fail_wqe(const SendWr& wr);
   /// A WQE the fabric kills outright: traces "fault_kill", sits out the
   /// full retry_count * retry_delay storm, then fail_wqe.
-  sim::Task<void> kill_wqe(const SendWr& wr, const std::string& tag);
+  sim::Task<void> kill_wqe(const SendWr& wr);
   void deliver_send(InboundSend inbound);
 
   Hca* hca_;
@@ -190,16 +205,20 @@ class QueuePair {
   QueuePair* peer_ = nullptr;
   bool error_ = false;
 
-  std::unique_ptr<sim::Mailbox<SendWr>> sq_;
-  std::unique_ptr<sim::Mailbox<ReadRequest>> responder_q_;
-  std::unique_ptr<sim::Trigger> read_credit_;
-  std::unique_ptr<sim::Trigger> quiesce_;    // fired whenever work drains
-  std::unique_ptr<sim::Trigger> connected_;  // fired by connect()
+  // Held by value: a QP is heap-allocated once by its Hca and never moves,
+  // and none of these allocates until it holds something.
+  sim::Mailbox<SendWr> sq_;
+  sim::Mailbox<ReadRequest> responder_q_;
+  sim::Trigger read_credit_;
+  sim::Trigger quiesce_;    // fired whenever work drains
+  sim::Trigger connected_;  // fired by connect()
+  bool send_started_ = false;       // send_engine spawned
+  bool responder_started_ = false;  // responder_engine spawned
   bool busy_ = false;             // send engine is mid-WQE
   int inflight_deliveries_ = 0;   // outbound DMA placements not yet landed
   int reads_in_flight_ = 0;
-  std::deque<RecvWr> rq_;
-  std::deque<InboundSend> unclaimed_;  // arrived sends awaiting a recv WQE
+  sim::Fifo<RecvWr> rq_;
+  sim::Fifo<InboundSend> unclaimed_;  // arrived sends awaiting a recv WQE
 };
 
 }  // namespace ib

@@ -18,20 +18,4 @@ const char* to_string(WcStatus s) {
   return "unknown";
 }
 
-const char* to_string(Opcode op) {
-  switch (op) {
-    case Opcode::kSend:
-      return "send";
-    case Opcode::kRdmaWrite:
-      return "rdma-write";
-    case Opcode::kRdmaRead:
-      return "rdma-read";
-    case Opcode::kFetchAdd:
-      return "fetch-add";
-    case Opcode::kCompareSwap:
-      return "compare-swap";
-  }
-  return "unknown";
-}
-
 }  // namespace ib

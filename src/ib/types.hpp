@@ -31,8 +31,8 @@ enum class WcStatus : std::uint8_t {
   kFlushError,             // QP moved to error state before execution
 };
 
+/// Status name for diagnostics ("remote-access-error", ...).
 const char* to_string(WcStatus s);
-const char* to_string(Opcode op);
 
 /// Memory-region access rights (a registration must name every right it
 /// grants; RDMA operations are validated against them).

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -127,6 +127,39 @@ class Semaphore {
   std::int64_t count_;
 };
 
+/// Unbounded FIFO queue that allocates nothing while it has never held an
+/// item: a vector plus a head index.  Popped slots form a dead prefix that
+/// is dropped when the queue drains, or compacted away once it is at least
+/// half the vector, so a queue held at depth k keeps at most about 2k slots
+/// and push/pop stay amortised O(1).  (libstdc++'s std::deque allocates a
+/// block and a map on construction; an idle QP holds four queues.)
+template <class T>
+class Fifo {
+ public:
+  bool empty() const noexcept { return head_ == items_.size(); }
+  std::size_t size() const noexcept { return items_.size() - head_; }
+
+  void push_back(T item) { items_.push_back(std::move(item)); }
+
+  /// Removes and returns the front item (the queue must not be empty).
+  T pop_front() {
+    T item = std::move(items_[head_]);
+    if (++head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return item;
+  }
+
+ private:
+  std::vector<T> items_;
+  std::size_t head_ = 0;  // index of the front item; items_[0, head_) are dead
+};
+
 /// Unbounded FIFO mailbox of T: the workhorse for work queues and packet
 /// queues.  pop() blocks until an item is available.
 template <class T>
@@ -141,8 +174,7 @@ class Mailbox {
 
   Task<T> pop() {
     co_await wait_until(trigger_, [this] { return !items_.empty(); });
-    T item = std::move(items_.front());
-    items_.pop_front();
+    T item = items_.pop_front();
     // Another waiter may still have items to consume.
     if (!items_.empty()) trigger_.fire();
     co_return item;
@@ -150,9 +182,7 @@ class Mailbox {
 
   std::optional<T> try_pop() {
     if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return items_.pop_front();
   }
 
   bool empty() const noexcept { return items_.empty(); }
@@ -160,7 +190,7 @@ class Mailbox {
 
  private:
   Trigger trigger_;
-  std::deque<T> items_;
+  Fifo<T> items_;
 };
 
 }  // namespace sim

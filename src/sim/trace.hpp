@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -63,9 +64,13 @@ class Tracer {
   void attach(TraceSink* sink) noexcept { sink_ = sink; }
   bool enabled() const noexcept { return sink_ != nullptr; }
 
-  void record(Tick at, const std::string& source, const std::string& event,
+  /// Views, not strings: with no sink attached a call site builds no
+  /// temporary, and the strings are made only when a record is kept.
+  void record(Tick at, std::string_view source, std::string_view event,
               std::int64_t bytes = 0, std::int64_t arg = 0) const {
-    if (sink_ != nullptr) sink_->record(at, source, event, bytes, arg);
+    if (sink_ != nullptr) {
+      sink_->record(at, std::string(source), std::string(event), bytes, arg);
+    }
   }
 
  private:

@@ -205,6 +205,40 @@ TEST_P(DesignTest, PutBeyondRingCapacityCompletesPartially) {
   EXPECT_EQ(got, msg);
 }
 
+TEST(ChannelDefaults, ChannelsWithoutLookaheadAnswerItsCallsAsNoOps) {
+  // Only the adaptive design holds rendezvous in flight beyond the head of
+  // the pipe; every other channel reports no lookahead, drains nothing
+  // ahead, refuses a sink, and (eager-wired) has no service pass to run.
+  for (const Design d : {Design::kShm, Design::kPiggyback}) {
+    Duo duo(d);
+    std::vector<std::byte> msg = pattern(64, 3);
+    const auto probe = [](Channel& ch, Connection& c) -> sim::Task<void> {
+      EXPECT_EQ(ch.rndv_lookahead(), 0u);
+      EXPECT_EQ(ch.active_peers(), nullptr);
+      std::byte b{};
+      const Iov iov{&b, 1};
+      const std::size_t ahead =
+          co_await ch.get_ahead(c, std::span<const Iov>(&iov, 1));
+      EXPECT_EQ(ahead, 0u);
+      const bool attached =
+          co_await ch.attach_rndv(c, std::span<const Iov>(&iov, 1));
+      EXPECT_FALSE(attached);
+      co_await ch.pre_progress();
+    };
+    duo.run(
+        [&](Channel& ch, Connection& c) -> sim::Task<void> {
+          co_await probe(ch, c);
+          co_await send_all(ch, c, msg.data(), msg.size());
+        },
+        [&](Channel& ch, Connection& c) -> sim::Task<void> {
+          std::vector<std::byte> buf(64);
+          co_await recv_all(ch, c, buf.data(), buf.size());
+          co_await probe(ch, c);
+          EXPECT_EQ(buf, msg);
+        });
+  }
+}
+
 TEST(BasicDesign, ThreeRdmaWritesPerMessage) {
   // Paper section 4.2.1: "a matching pair of send and receive operations in
   // MPI require three RDMA write operations: one for transfer of data, and

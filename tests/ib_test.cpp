@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "ib/cq.hpp"
@@ -810,6 +813,146 @@ TEST(Qp, ApiMisuseThrows) {
   Node& b = fabric.add_node("b");
   ProtectionDomain& pdb = b.hca().alloc_pd();
   EXPECT_THROW(a.hca().create_qp(pdb, cq, cq), VerbsError);  // foreign PD
+}
+
+TEST(Qp, WcStatusNamesForDiagnostics) {
+  // The channel's internal-WR failure message names the status.
+  const WcStatus all[] = {WcStatus::kSuccess, WcStatus::kLocalProtectionError,
+                          WcStatus::kRemoteAccessError,
+                          WcStatus::kTransportError, WcStatus::kFlushError};
+  const char* const want[] = {"success", "local-protection-error",
+                              "remote-access-error", "transport-error",
+                              "flush-error"};
+  for (std::size_t i = 0; i < std::size(all); ++i) {
+    EXPECT_STREQ(to_string(all[i]), want[i]);
+  }
+}
+
+// A QP's engines start on first work: an idle connected pair costs no
+// event, and whichever operation comes first must start what it needs.
+
+TEST(LazyStart, ConnectQueuesNoEvent) {
+  sim::Simulator sim;
+  Fabric fabric(sim);
+  Node& a = fabric.add_node("a");
+  Node& b = fabric.add_node("b");
+  CompletionQueue& cqa = a.hca().create_cq("cqa");
+  CompletionQueue& cqb = b.hca().create_cq("cqb");
+  QueuePair& qpa = a.hca().create_qp(a.hca().alloc_pd(), cqa, cqa);
+  QueuePair& qpb = b.hca().create_qp(b.hca().alloc_pd(), cqb, cqb);
+  qpa.connect(qpb);
+  EXPECT_TRUE(qpb.connected());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.events_processed(), 0u);
+}
+
+/// Runs one 8-byte read-class operation as the first WQE of a fresh pair
+/// and returns its completion; the peer's responder must start for it.
+Wc first_op(Opcode op, std::uint64_t& target, std::uint64_t& result) {
+  Pair p;
+  sim::TraceSink sink;
+  p.fabric.attach_tracer(&sink);
+  Wc wc{};
+  p.sim.spawn(
+      [](Pair& pr, Opcode o, std::uint64_t& t, std::uint64_t& r,
+         Wc& out) -> sim::Task<void> {
+        MemoryRegion* ml = co_await pr.pda->register_memory(&r, 8);
+        MemoryRegion* mr = co_await pr.pdb->register_memory(&t, 8);
+        SendWr wr{5, o, {Sge{reinterpret_cast<std::byte*>(&r), 8, ml->lkey()}},
+                  reinterpret_cast<std::uint64_t>(&t), mr->rkey(), true};
+        wr.atomic_arg = 3;
+        pr.qpa->post_send(std::move(wr));
+        out = co_await pr.cqa->next();
+      }(p, op, target, result, wc),
+      "first-op");
+  p.sim.run();
+  const std::string responder =
+      "b.qp" + std::to_string(p.qpb->qp_num()) + ".resp";
+  const bool served =
+      std::any_of(sink.records().begin(), sink.records().end(),
+                  [&](const sim::TraceRecord& r) { return r.source == responder; });
+  EXPECT_TRUE(served);
+  return wc;
+}
+
+TEST(LazyStart, FirstOpReadStartsPeerResponder) {
+  alignas(8) static std::uint64_t target;
+  alignas(8) static std::uint64_t result;
+  target = 0x1122334455667788u;
+  result = 0;
+  const Wc wc = first_op(Opcode::kRdmaRead, target, result);
+  EXPECT_EQ(wc.wr_id, 5u);
+  EXPECT_EQ(wc.status, WcStatus::kSuccess);
+  EXPECT_EQ(result, 0x1122334455667788u);
+}
+
+TEST(LazyStart, FirstOpAtomicStartsPeerResponder) {
+  alignas(8) static std::uint64_t target;
+  alignas(8) static std::uint64_t result;
+  target = 40;
+  result = 0;
+  const Wc wc = first_op(Opcode::kFetchAdd, target, result);
+  EXPECT_EQ(wc.wr_id, 5u);
+  EXPECT_EQ(wc.status, WcStatus::kSuccess);
+  EXPECT_EQ(result, 40u);
+  EXPECT_EQ(target, 43u);
+}
+
+TEST(LazyStart, NeverStartedQpClosesQuiescesResetsAndPosts) {
+  Pair p;
+  static std::byte src[8];
+  static std::byte dst[8];
+  std::memset(src, 0x5a, sizeof src);
+  std::memset(dst, 0, sizeof dst);
+  p.sim.spawn(
+      [](Pair& pr) -> sim::Task<void> {
+        MemoryRegion* ms = co_await pr.pda->register_memory(src, 8);
+        MemoryRegion* md = co_await pr.pdb->register_memory(dst, 8);
+        pr.qpa->close();
+        EXPECT_TRUE(pr.qpa->in_error());
+        co_await pr.qpa->quiesce();
+        pr.qpa->reset();
+        EXPECT_FALSE(pr.qpa->in_error());
+        pr.qpa->post_send(SendWr{7, Opcode::kRdmaWrite,
+                                 {Sge{src, 8, ms->lkey()}},
+                                 reinterpret_cast<std::uint64_t>(dst),
+                                 md->rkey(), true});
+        const Wc wc = co_await pr.cqa->next();
+        EXPECT_EQ(wc.wr_id, 7u);
+        EXPECT_EQ(wc.status, WcStatus::kSuccess);
+        EXPECT_EQ(dst[7], std::byte{0x5a});
+      }(p),
+      "reset-then-post");
+  p.sim.run();
+}
+
+TEST(LazyStart, ErroredNeverStartedQpFlushesInPostOrder) {
+  Pair p;
+  static std::byte src[8];
+  static std::byte dst[8];
+  std::vector<std::uint64_t> ids;
+  p.sim.spawn(
+      [](Pair& pr, std::vector<std::uint64_t>& got) -> sim::Task<void> {
+        MemoryRegion* ms = co_await pr.pda->register_memory(src, 8);
+        MemoryRegion* md = co_await pr.pdb->register_memory(dst, 8);
+        pr.qpa->close();
+        const Opcode ops[] = {Opcode::kRdmaWrite, Opcode::kRdmaRead,
+                              Opcode::kSend, Opcode::kRdmaWrite};
+        for (std::uint64_t i = 0; i < 4; ++i) {
+          pr.qpa->post_send(SendWr{10 + i, ops[i], {Sge{src, 8, ms->lkey()}},
+                                   reinterpret_cast<std::uint64_t>(dst),
+                                   md->rkey(), i != 2});
+        }
+        for (int i = 0; i < 4; ++i) {
+          const Wc wc = co_await pr.cqa->next();
+          EXPECT_EQ(wc.status, WcStatus::kFlushError);
+          got.push_back(wc.wr_id);
+        }
+      }(p, ids),
+      "flush");
+  p.sim.run();
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{10, 11, 12, 13}));
 }
 
 }  // namespace

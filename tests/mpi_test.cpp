@@ -321,6 +321,31 @@ TEST_P(StackTest, CollectivesProduceReferenceResults) {
       co_await world.scatter(gathered.data(), 1, &back, Datatype::kInt, 0);
       EXPECT_EQ(back, mine);
 
+      // gatherv to root 1: rank i contributes i + 1 copies of i, stored in
+      // reverse rank order with a one-element gap after each block.
+      std::vector<int> gcounts(static_cast<std::size_t>(p)),
+          gdispls(static_cast<std::size_t>(p));
+      int gtot = 0;
+      for (int i = p - 1; i >= 0; --i) {
+        gcounts[static_cast<std::size_t>(i)] = i + 1;
+        gdispls[static_cast<std::size_t>(i)] = gtot;
+        gtot += i + 2;
+      }
+      const std::vector<int> gsend(static_cast<std::size_t>(r + 1), r);
+      std::vector<int> gdata(static_cast<std::size_t>(gtot), -1);
+      co_await world.gatherv(gsend.data(), r + 1, gdata.data(), gcounts,
+                             gdispls, Datatype::kInt, 1);
+      if (r == 1) {
+        for (int i = 0; i < p; ++i) {
+          const auto at = static_cast<std::size_t>(
+              gdispls[static_cast<std::size_t>(i)]);
+          for (int k = 0; k < i + 1; ++k) {
+            EXPECT_EQ(gdata[at + static_cast<std::size_t>(k)], i);
+          }
+          EXPECT_EQ(gdata[at + static_cast<std::size_t>(i) + 1], -1);
+        }
+      }
+
       // reduce_scatter
       std::vector<int> contrib(static_cast<std::size_t>(p));
       for (int i = 0; i < p; ++i) {
@@ -441,6 +466,36 @@ TEST(MpiErrors, TruncationThrows) {
         }
       }),
       sim::ProcessError);
+}
+
+TEST(MpiLazyConnect, ProgressWiresPassiveReceivers) {
+  // With lazy_connect every connection is wired on first use, and a rank
+  // that only receives learns of its peers' join requests from its
+  // progress loop's service pass (Channel::pre_progress).  Rank 0 sends to
+  // every other rank, which never sends back before receiving.
+  constexpr int kP = 5;
+  RuntimeConfig cfg;
+  cfg.stack.channel.lazy_connect = true;
+  MpiRig rig(kP, cfg);
+  int received = 0;
+  rig.run([&received](Communicator& world, pmi::Context&) -> sim::Task<void> {
+    const int r = world.rank();
+    std::vector<int> buf(64);
+    if (r == 0) {
+      for (int peer = 1; peer < kP; ++peer) {
+        std::iota(buf.begin(), buf.end(), peer * 100);
+        co_await world.send(buf.data(), 64, Datatype::kInt, peer, 3);
+      }
+    } else {
+      co_await world.recv(buf.data(), 64, Datatype::kInt, 0, 3);
+      std::vector<int> want(64);
+      std::iota(want.begin(), want.end(), r * 100);
+      EXPECT_EQ(buf, want);
+      ++received;
+    }
+    co_await world.barrier();
+  });
+  EXPECT_EQ(received, kP - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -545,6 +545,14 @@ TEST_P(KernelTest, VerifiesOnZeroCopyStack) {
   EXPECT_GT(r.mops, 0.0);
 }
 
+TEST(NasClass, NamesAreTheNpbLetters) {
+  // bench/nas_fault labels its rows "<class>/<kernel>" with these.
+  EXPECT_STREQ(to_string(Class::S), "S");
+  EXPECT_STREQ(to_string(Class::W), "W");
+  EXPECT_STREQ(to_string(Class::A), "A");
+  EXPECT_STREQ(to_string(Class::B), "B");
+}
+
 TEST(NasStacks, AllThreePaperDesignsVerifyOnClassS) {
   const std::pair<ch3::Stack, rdmach::Design> stacks[] = {
       {ch3::Stack::kRdmaChannel, rdmach::Design::kPipeline},

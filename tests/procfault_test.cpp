@@ -186,7 +186,9 @@ TEST_P(ProcFaultDesignTest, RevokeInterruptsBlockedCollective) {
     if (ctx.rank == 0) {
       co_await ctx.sim().delay(sim::usec(1'000));
       revoke_at = ctx.sim().now();
+      EXPECT_FALSE(rt.world().revoked());
       rt.world().revoke();
+      EXPECT_TRUE(rt.world().revoked());
       try {
         co_await rt.world().barrier();
       } catch (const mpi::RevokedError&) {
@@ -202,6 +204,7 @@ TEST_P(ProcFaultDesignTest, RevokeInterruptsBlockedCollective) {
     } catch (const mpi::RevokedError&) {
       revoked_out[ctx.rank] = true;
       out_at[ctx.rank] = ctx.sim().now();
+      EXPECT_TRUE(rt.world().revoked());
     }
   });
   sim.run_until(kDeadline);

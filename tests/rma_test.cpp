@@ -175,6 +175,52 @@ TEST(Rma, FetchAddContentionUnderFlushEpochs) {
   EXPECT_TRUE(olds_distinct);
 }
 
+TEST(Rma, FlushLocalReleasesOriginBuffers) {
+  // After flush_local(target) / flush_local_all() the origin buffer of every
+  // put issued before it may be overwritten: the target still receives the
+  // value the buffer held at the put.  (The HCA reads a put's source when it
+  // processes the WQE, after put() has returned.)
+  constexpr int kP = 3;
+  sim::Simulator sim;
+  ib::Fabric fabric{sim};
+  pmi::Job job{fabric, kP};
+  int checked = 0;
+  job.launch([&](pmi::Context& ctx) -> sim::Task<void> {
+    mpi::Runtime rt(ctx, {});
+    co_await rt.init();
+    mpi::Communicator& world = rt.world();
+    const int me = world.rank();
+    const int right = (me + 1) % kP;
+    std::vector<std::int64_t> mem(2 * kP, -1);
+    auto win = co_await mpi::Window::create(world, mem.data(), 2 * kP * 8);
+    co_await win->fence();
+    win->lock_all();
+    std::int64_t origin = 100 + me;
+    co_await win->put(&origin, 1, mpi::Datatype::kLong, right,
+                      static_cast<std::size_t>(me) * 8);
+    co_await win->flush_local(right);
+    origin = 200 + me;
+    for (int t = 0; t < kP; ++t) {
+      co_await win->put(&origin, 1, mpi::Datatype::kLong, t,
+                        static_cast<std::size_t>(kP + me) * 8);
+    }
+    co_await win->flush_local_all();
+    origin = -7;
+    co_await win->unlock_all();
+    co_await win->fence();
+    const int left = (me + kP - 1) % kP;
+    EXPECT_EQ(mem[static_cast<std::size_t>(left)], 100 + left);
+    for (int o = 0; o < kP; ++o) {
+      EXPECT_EQ(mem[static_cast<std::size_t>(kP + o)], 200 + o);
+    }
+    ++checked;
+    co_await win->fence();
+    co_await rt.finalize();
+  });
+  sim.run_until(kDeadline);
+  EXPECT_EQ(checked, kP);
+}
+
 // ---------------------------------------------------------------------------
 // Notified access
 // ---------------------------------------------------------------------------

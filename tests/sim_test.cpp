@@ -498,6 +498,60 @@ TEST(Mailbox, TryPopNonBlocking) {
   EXPECT_EQ(*v, 9);
 }
 
+TEST(Fifo, OrderSurvivesCompaction) {
+  // Bursts of pushes and pops at varying depths compact the dead prefix
+  // many times; move-only items come out in push order.
+  Fifo<std::unique_ptr<int>> q;
+  int pushed = 0;
+  int popped = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < round % 7 + 1; ++i) {
+      q.push_back(std::make_unique<int>(pushed++));
+    }
+    for (int i = 0; i < round % 5 + 1 && !q.empty(); ++i) {
+      EXPECT_EQ(*q.pop_front(), popped++);
+    }
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(pushed - popped));
+  }
+  while (!q.empty()) EXPECT_EQ(*q.pop_front(), popped++);
+  EXPECT_EQ(popped, pushed);
+}
+
+TEST(Fifo, SteadyDepthKeepsBoundedStorage) {
+  // A queue held at depth k that never drains reaches a fixed footprint:
+  // after warm-up, ten thousand push/pop pairs allocate nothing.
+  for (const int k : {1, 3, 16}) {
+    Fifo<int> q;
+    int next = 0;
+    for (int i = 0; i < k; ++i) q.push_back(next++);
+    for (int i = 0; i < 100; ++i) {
+      q.push_back(next++);
+      q.pop_front();
+    }
+    const std::size_t before = g_global_news;
+    int expect = next - k;
+    for (int i = 0; i < 10000; ++i) {
+      q.push_back(next++);
+      EXPECT_EQ(q.pop_front(), expect++);
+    }
+    EXPECT_EQ(g_global_news - before, 0u) << "depth " << k;
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(k));
+  }
+}
+
+TEST(Fifo, EmptyQueuesAllocateNothing) {
+  Simulator sim;
+  const std::size_t before = g_global_news;
+  {
+    Fifo<std::string> q;
+    Mailbox<std::string> mb(sim);
+    EXPECT_TRUE(q.empty());
+    EXPECT_TRUE(mb.empty());
+    EXPECT_FALSE(mb.try_pop().has_value());
+  }
+  EXPECT_EQ(g_global_news - before, 0u);
+}
+
 TEST(BandwidthResource, SingleStreamRunsAtFullRate) {
   Simulator sim;
   BandwidthResource link(sim, "link", 870.0);
